@@ -217,15 +217,6 @@ magazine_capacity_env(std::size_t fallback)
     return size_env("PRUDENCE_MAGAZINE_CAPACITY", fallback);
 }
 
-/// PRUDENCE_LOCKFREE_PCPU override (run_bench.sh on/off knob for the
-/// lock-free per-CPU layer, DESIGN.md §14), or @p fallback when
-/// unset.
-inline bool
-lockfree_pcpu_env(bool fallback)
-{
-    return size_env("PRUDENCE_LOCKFREE_PCPU", fallback ? 1 : 0) != 0;
-}
-
 /// Suite configuration shared by the per-figure binaries.
 inline prudence::SuiteConfig
 suite_config(double scale)
@@ -239,7 +230,6 @@ suite_config(double scale)
     cfg.pcp_high_watermark =
         size_env("PRUDENCE_PCP_HIGH_WATERMARK", cfg.pcp_high_watermark);
     cfg.pcp_batch = size_env("PRUDENCE_PCP_BATCH", cfg.pcp_batch);
-    cfg.lockfree_pcpu = lockfree_pcpu_env(cfg.lockfree_pcpu);
     return cfg;
 }
 

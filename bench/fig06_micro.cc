@@ -44,8 +44,6 @@ run_pairs_per_second(bool use_prudence, std::size_t size,
         cfg.cpus = threads;
         cfg.magazine_capacity = prudence_bench::magazine_capacity_env(
             cfg.magazine_capacity);
-        cfg.lockfree_pcpu =
-            prudence_bench::lockfree_pcpu_env(cfg.lockfree_pcpu);
         alloc = make_prudence_allocator(rcu, cfg);
     } else {
         SlubConfig cfg;
@@ -53,8 +51,6 @@ run_pairs_per_second(bool use_prudence, std::size_t size,
         cfg.cpus = threads;
         cfg.magazine_capacity = prudence_bench::magazine_capacity_env(
             cfg.magazine_capacity);
-        cfg.lockfree_pcpu =
-            prudence_bench::lockfree_pcpu_env(cfg.lockfree_pcpu);
         // Kernel-faithful regime: callbacks become ready in
         // grace-period batches and the softirq drains the ready list
         // at once — deferred frees land on the allocator in bursts

@@ -1,30 +1,29 @@
 /**
  * @file
  * Figure 15 (repo-local experiment): per-CPU slab-lock contention
- * under multi-threaded object churn, with and without the lock-free
- * per-CPU layer (DESIGN.md §14).
+ * under multi-threaded object churn through the lock-free magazine
+ * depot (DESIGN.md §14).
  *
- * The fig14 story one layer up: PR 3 made the object fast path mostly
- * lock-free, PR 6 took the buddy lock out of slab grow/shrink — what
- * remains is the per-CPU spinlock every magazine refill, flush and
- * deferral spill serializes on. The lock-free layer replaces those
- * exchanges with single-CAS depot pushes/pops, so the per-CPU lock
+ * The fig14 story one layer up: the magazine boundary — refill, flush
+ * and deferral spill — exchanges whole blocks with the depot by one
+ * CAS, so the per-CPU spinlock is left to the depot's fallbacks
+ * (budget exhausted, deferred half-cap reached, prefill refused) and
  * should all but vanish from the hot path.
  *
  * N threads churn cache_alloc / cache_free / cache_free_deferred over
  * a shared cache (bursts that cross magazine boundaries, the pattern
  * that forces exchanges), and the bench reports per thread count and
- * per config (lock-free on vs off):
+ * per mix (std: 25% deferred, heavy: 75% deferred):
  *
  *   ns_per_op    wall time per operation, per thread
  *   lock_per_op  per-CPU spinlock acquisitions per operation
- *   depot_per_op depot CAS exchanges per operation (0 on the off leg)
+ *   depot_per_op depot CAS exchanges per operation
  *
- * The paper-facing gate: lock_per_op ~ 0 on the on leg at 8 threads,
- * with ns_per_op no worse at 1 thread and better at 8.
+ * The CI gate: lock_per_op of the std mix at 8 threads stays under
+ * bench/results/fig15_lock_per_op_threshold.txt.
  *
  * Environment: PRUDENCE_MAGAZINE_CAPACITY overrides the magazine
- * depth of both legs (default 32).
+ * depth (default 32; 0 is replaced by 32, the depot needs magazines).
  */
 #include <atomic>
 #include <chrono>
@@ -52,18 +51,16 @@ struct RunResult
     std::uint64_t miss_gp_pending = 0;
     std::uint64_t prefills = 0;
     std::uint64_t claim_hits = 0;
-    std::uint64_t harvests_ahead = 0;
 };
 
 /// One churn run: @p threads workers, each performing @p ops
 /// operations (alloc-burst / free-burst / defer mix) against a fresh
-/// allocator with the lock-free layer @p lockfree. @p defer_heavy
-/// inverts the defer mix (75% deferred instead of 25%) — the regime
-/// where refills race the prudence window and harvest-ahead earns
-/// its keep.
+/// allocator. @p defer_heavy inverts the defer mix (75% deferred
+/// instead of 25%) — the regime where refills race the prudence
+/// window and the full stack starves behind open grace periods.
 RunResult
 run_churn(unsigned threads, std::size_t ops, std::size_t magazines,
-          bool lockfree, bool defer_heavy = false)
+          bool defer_heavy)
 {
     RcuConfig rcfg;
     rcfg.gp_interval = std::chrono::microseconds{200};
@@ -73,17 +70,6 @@ run_churn(unsigned threads, std::size_t ops, std::size_t magazines,
     cfg.arena_bytes = std::size_t{256} << 20;
     cfg.cpus = threads;
     cfg.magazine_capacity = magazines;
-    cfg.lockfree_pcpu = lockfree;
-    // Residual-miss mechanism toggles (run_bench.sh 2x2 matrix).
-    cfg.depot_blocks = prudence_bench::size_env("PRUDENCE_DEPOT_BLOCKS",
-                                                cfg.depot_blocks);
-    cfg.harvest_ahead =
-        prudence_bench::size_env("PRUDENCE_HARVEST_AHEAD",
-                                 cfg.harvest_ahead ? 1 : 0) != 0;
-    cfg.depot_prefill_blocks = prudence_bench::size_env(
-        "PRUDENCE_DEPOT_PREFILL", cfg.depot_prefill_blocks);
-    cfg.depot_claim_blocks = prudence_bench::size_env(
-        "PRUDENCE_CLAIM_RING", cfg.depot_claim_blocks);
     PrudenceAllocator alloc(rcu, cfg);
     CacheId cache = alloc.create_cache("fig15.obj", 128);
 
@@ -146,7 +132,6 @@ run_churn(unsigned threads, std::size_t ops, std::size_t magazines,
         r.miss_gp_pending += s.depot_miss_gp_pending;
         r.prefills += s.depot_prefills;
         r.claim_hits += s.depot_claim_hits;
-        r.harvests_ahead += s.depot_harvests_ahead;
     }
 
     double total_ops = static_cast<double>(ops) * threads;
@@ -169,78 +154,45 @@ main(int argc, char** argv)
     double scale = prudence_bench::run_scale(argc, argv);
     std::size_t magazines = prudence_bench::magazine_capacity_env(32);
     if (magazines == 0)
-        magazines = 32;  // both legs need magazines to exchange
+        magazines = 32;  // the depot rides the magazine layer
 
     auto ops = static_cast<std::size_t>(400000.0 * scale);
     if (ops < 2000)
         ops = 2000;
 
-    std::printf("# Figure 15: per-CPU slab-lock contention, "
-                "lock-free layer on vs off\n");
+    std::printf("# Figure 15: per-CPU slab-lock contention through the "
+                "magazine depot\n");
     std::printf("# %zu ops per thread, 128 B objects, magazine "
                 "capacity %zu\n",
                 ops, magazines);
-    std::printf("%-8s %-9s %12s %14s %14s\n", "threads", "lockfree",
+    std::printf("%-8s %-9s %12s %14s %14s\n", "threads", "mix",
                 "ns_per_op", "lock_per_op", "depot_per_op");
 
-    double on8_lock = 0.0, off8_lock = 0.0;
-    double on8_ns = 0.0, off8_ns = 0.0;
-    RunResult on8;
-    for (unsigned threads : {1u, 2u, 4u, 8u}) {
-        RunResult on = run_churn(threads, ops, magazines, true);
-        RunResult off = run_churn(threads, ops, magazines, false);
-        std::printf("%-8u %-9s %12.1f %14.4f %14.4f\n", threads, "on",
-                    on.ns_per_op, on.lock_per_op, on.depot_per_op);
-        std::printf("%-8u %-9s %12.1f %14.4f %14.4f\n", threads, "off",
-                    off.ns_per_op, off.lock_per_op, off.depot_per_op);
-        if (threads == 8) {
-            on8_lock = on.lock_per_op;
-            off8_lock = off.lock_per_op;
-            on8_ns = on.ns_per_op;
-            off8_ns = off.ns_per_op;
-            on8 = on;
+    // The std mix at every thread count, then the deferred-heavy mix
+    // (75% cache_free_deferred) at 1 and 8 threads.
+    RunResult std8, heavy8;
+    for (bool heavy : {false, true}) {
+        for (unsigned threads : {1u, 2u, 4u, 8u}) {
+            if (heavy && (threads == 2 || threads == 4))
+                continue;
+            RunResult r = run_churn(threads, ops, magazines, heavy);
+            std::printf("%-8u %-9s %12.1f %14.4f %14.4f\n", threads,
+                        heavy ? "heavy" : "std", r.ns_per_op,
+                        r.lock_per_op, r.depot_per_op);
+            if (threads == 8)
+                (heavy ? heavy8 : std8) = r;
         }
     }
 
-    // Deferred-heavy mix (75% cache_free_deferred): the regime where
-    // the full stack starves behind open grace periods. The "-heavy"
-    // suffix keeps these rows out of the standard-leg parsers.
-    RunResult heavy8;
-    for (unsigned threads : {1u, 8u}) {
-        RunResult on = run_churn(threads, ops, magazines, true,
-                                 /*defer_heavy=*/true);
-        RunResult off = run_churn(threads, ops, magazines, false,
-                                  /*defer_heavy=*/true);
-        std::printf("%-8u %-9s %12.1f %14.4f %14.4f\n", threads,
-                    "on-heavy", on.ns_per_op, on.lock_per_op,
-                    on.depot_per_op);
-        std::printf("%-8u %-9s %12.1f %14.4f %14.4f\n", threads,
-                    "off-heavy", off.ns_per_op, off.lock_per_op,
-                    off.depot_per_op);
-        if (threads == 8)
-            heavy8 = on;
+    for (bool heavy : {false, true}) {
+        const RunResult& r = heavy ? heavy8 : std8;
+        std::printf("# 8 threads %s: miss_cold=%llu miss_gp_pending=%llu "
+                    "prefills=%llu claim_hits=%llu\n",
+                    heavy ? "heavy" : "std",
+                    static_cast<unsigned long long>(r.miss_cold),
+                    static_cast<unsigned long long>(r.miss_gp_pending),
+                    static_cast<unsigned long long>(r.prefills),
+                    static_cast<unsigned long long>(r.claim_hits));
     }
-
-    if (off8_lock > 0.0 && on8_ns > 0.0) {
-        std::printf("# 8 threads: per-CPU lock acquisitions/op %.4f "
-                    "-> %.4f, ns/op %.1f -> %.1f (%.2fx)\n",
-                    off8_lock, on8_lock, off8_ns, on8_ns,
-                    off8_ns / on8_ns);
-    }
-    std::printf("# 8 threads on: miss_cold=%llu miss_gp_pending=%llu "
-                "prefills=%llu claim_hits=%llu harvests_ahead=%llu\n",
-                static_cast<unsigned long long>(on8.miss_cold),
-                static_cast<unsigned long long>(on8.miss_gp_pending),
-                static_cast<unsigned long long>(on8.prefills),
-                static_cast<unsigned long long>(on8.claim_hits),
-                static_cast<unsigned long long>(on8.harvests_ahead));
-    std::printf("# 8 threads on-heavy: miss_cold=%llu "
-                "miss_gp_pending=%llu prefills=%llu claim_hits=%llu "
-                "harvests_ahead=%llu\n",
-                static_cast<unsigned long long>(heavy8.miss_cold),
-                static_cast<unsigned long long>(heavy8.miss_gp_pending),
-                static_cast<unsigned long long>(heavy8.prefills),
-                static_cast<unsigned long long>(heavy8.claim_hits),
-                static_cast<unsigned long long>(heavy8.harvests_ahead));
     return 0;
 }

@@ -70,7 +70,6 @@ run_on(const prudence::ScenarioSpec& spec,
         sc.magazine_capacity = cfg.magazine_capacity;
         sc.pcp_high_watermark = cfg.pcp_high_watermark;
         sc.pcp_batch = cfg.pcp_batch;
-        sc.lockfree_pcpu = cfg.lockfree_pcpu;
         sc.callback.inline_batch_limit = 100000;
         sc.callback.batch_limit = 1000;
         sc.callback.tick = std::chrono::microseconds{1000};
@@ -82,7 +81,6 @@ run_on(const prudence::ScenarioSpec& spec,
         pc.magazine_capacity = cfg.magazine_capacity;
         pc.pcp_high_watermark = cfg.pcp_high_watermark;
         pc.pcp_batch = cfg.pcp_batch;
-        pc.lockfree_pcpu = cfg.lockfree_pcpu;
         alloc = prudence::make_prudence_allocator(rcu, pc);
     }
     return prudence::run_scenario(*alloc, rcu, spec, options);

@@ -43,8 +43,6 @@ make_alloc(ManualRcuDomain& domain)
     cfg.callback.inline_batch_limit = 0;
     cfg.magazine_capacity = prudence_bench::magazine_capacity_env(
         cfg.magazine_capacity);
-    cfg.lockfree_pcpu =
-        prudence_bench::lockfree_pcpu_env(cfg.lockfree_pcpu);
     return make_slub_allocator(domain, cfg);
 }
 

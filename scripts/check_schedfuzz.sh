@@ -3,10 +3,9 @@
 # (DESIGN.md §11). First the self-test proves the fuzzer can still
 # catch deliberately-reintroduced interleaving bugs (stale spill tag,
 # unprotected depot pop) and that the clean code passes the same
-# sweep; then seven real sweeps cover the default config plus the
-# magazines-off, pcp-off, lockfree-off, harvest-ahead-off,
-# prefill-off and claim-ring-off ablations, so the per-op paths see
-# the same schedule perturbation.
+# sweep; then the default config is swept over 5x SEEDS seeds and the
+# magazines-off and pcp-off ablations over SEEDS each, so the per-op
+# paths see the same schedule perturbation.
 #
 # Any failing sweep leaves a JSON report (seed, yield-site mask,
 # shrunk minimal mask, first violation) in REPORT_DIR for upload as a
@@ -16,7 +15,8 @@
 # Usage: scripts/check_schedfuzz.sh [preset] [extra schedfuzz args...]
 #   preset      default | asan | tsan          (default: default)
 # Environment:
-#   SEEDS       sweep width per config          (default: 20)
+#   SEEDS       sweep width per ablation; the
+#               default config gets 5x          (default: 20)
 #   OPS         deferrals per updater per seed  (default: 300)
 #   JOBS        parallel build jobs             (default: 2)
 #   REPORT_DIR  where failing-seed reports go   (default: build dir)
@@ -45,7 +45,7 @@ echo "== schedfuzz self-test (bug must be found, clean code clean) =="
     --report="$REPORT_DIR/schedfuzz-selftest.json" "$@"
 
 echo "== schedfuzz sweep: default config =="
-"$BUILD_DIR/tools/schedfuzz" --seeds="$SEEDS" --ops="$OPS" \
+"$BUILD_DIR/tools/schedfuzz" --seeds="$((5 * SEEDS))" --ops="$OPS" \
     --report="$REPORT_DIR/schedfuzz-default.json" "$@"
 
 echo "== schedfuzz sweep: magazines off =="
@@ -58,24 +58,4 @@ echo "== schedfuzz sweep: per-CPU page caches off =="
     --pcp-high-watermark=0 \
     --report="$REPORT_DIR/schedfuzz-nopcp.json" "$@"
 
-echo "== schedfuzz sweep: lock-free per-CPU layer off =="
-"$BUILD_DIR/tools/schedfuzz" --seeds="$SEEDS" --ops="$OPS" \
-    --lockfree-pcpu=0 \
-    --report="$REPORT_DIR/schedfuzz-nolockfree.json" "$@"
-
-echo "== schedfuzz sweep: harvest-ahead off =="
-"$BUILD_DIR/tools/schedfuzz" --seeds="$SEEDS" --ops="$OPS" \
-    --harvest-ahead=0 \
-    --report="$REPORT_DIR/schedfuzz-noharvest.json" "$@"
-
-echo "== schedfuzz sweep: slab-side prefill off =="
-"$BUILD_DIR/tools/schedfuzz" --seeds="$SEEDS" --ops="$OPS" \
-    --depot-prefill=0 \
-    --report="$REPORT_DIR/schedfuzz-noprefill.json" "$@"
-
-echo "== schedfuzz sweep: claim ring off =="
-"$BUILD_DIR/tools/schedfuzz" --seeds="$SEEDS" --ops="$OPS" \
-    --claim-ring=0 \
-    --report="$REPORT_DIR/schedfuzz-noclaim.json" "$@"
-
-echo "schedfuzz: self-test + 7x$SEEDS-seed sweeps clean"
+echo "schedfuzz: self-test + $((7 * SEEDS)) sweep seeds clean"

@@ -9,7 +9,8 @@
 # Usage: scripts/check_torture.sh [preset] [extra prudtorture args...]
 #   preset    default | asan | tsan | nofault   (default: default)
 # Environment:
-#   DURATION  torture run length in seconds      (default: 20)
+#   DURATION  ablation pass length in seconds; the
+#             default-config pass runs 3x        (default: 20)
 #   SEED      fault seed                         (default: 42)
 #   JOBS      parallel build/test jobs           (default: 2)
 set -eu
@@ -30,7 +31,7 @@ cmake --build --preset "$PRESET" -j "${JOBS:-2}"
 ctest --preset "$PRESET" -j "${JOBS:-2}"
 
 "$BUILD_DIR/tools/prudtorture" \
-    --duration="${DURATION:-20}" \
+    --duration="$((3 * ${DURATION:-20}))" \
     --fault-seed="${SEED:-42}" \
     "$@"
 
@@ -50,38 +51,6 @@ ctest --preset "$PRESET" -j "${JOBS:-2}"
     --duration="${DURATION:-20}" \
     --fault-seed="${SEED:-42}" \
     --pcp-high-watermark=0 \
-    "$@"
-
-# Fourth pass with the lock-free per-CPU layer disabled (DESIGN.md
-# §14): the legacy spinlock caches and locked magazine refill/flush
-# must survive the same fault schedule, proving the toggle-off leg
-# stays a first-class citizen.
-"$BUILD_DIR/tools/prudtorture" \
-    --duration="${DURATION:-20}" \
-    --fault-seed="${SEED:-42}" \
-    --lockfree-pcpu=0 \
-    "$@"
-
-# Passes 5-7: each residual depot-miss mechanism (DESIGN.md §14)
-# disabled in turn — harvest-ahead off, slab-side prefill off, claim
-# ring off. The transparent-fallback contract says every leg must
-# survive the identical fault schedule with clean accounting.
-"$BUILD_DIR/tools/prudtorture" \
-    --duration="${DURATION:-20}" \
-    --fault-seed="${SEED:-42}" \
-    --harvest-ahead=0 \
-    "$@"
-
-"$BUILD_DIR/tools/prudtorture" \
-    --duration="${DURATION:-20}" \
-    --fault-seed="${SEED:-42}" \
-    --depot-prefill=0 \
-    "$@"
-
-"$BUILD_DIR/tools/prudtorture" \
-    --duration="${DURATION:-20}" \
-    --fault-seed="${SEED:-42}" \
-    --claim-ring=0 \
     "$@"
 
 # Final pass with the adaptive reclamation governor driving the

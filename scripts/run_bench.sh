@@ -72,53 +72,17 @@ for cap in 32 0; do
     done
 done
 
-# Lock-free per-CPU layer off (DESIGN.md §14), at the default
-# mag32/pcp32 knobs: the legacy-spinlock row of the on/off
-# comparison. The "on" leg is the build default in mag32_pcp32 above.
-cfg="mag32_pcp32_lf0"
-echo "== $cfg: tab01_alloc_cost =="
-PRUDENCE_LOCKFREE_PCPU=0 \
-    "$BUILD_DIR/bench/tab01_alloc_cost" \
-    --benchmark_repetitions="$REPS" \
-    --benchmark_report_aggregates_only=false \
-    --benchmark_out="$TMP/tab01_$cfg.json" \
-    --benchmark_out_format=json
-echo "== $cfg: fig06_micro =="
-PRUDENCE_LOCKFREE_PCPU=0 \
-    "$BUILD_DIR/bench/fig06_micro" "$SCALE" \
-    | tee "$TMP/fig06_$cfg.txt"
-echo "== $cfg: fig13_throughput =="
-PRUDENCE_LOCKFREE_PCPU=0 \
-    "$BUILD_DIR/bench/fig13_throughput" "$SCALE" \
-    | tee "$TMP/fig13_$cfg.txt"
-
 # fig14 runs its own pcp on/off legs internally per thread count.
 echo "== fig14_page_contention =="
 "$BUILD_DIR/bench/fig14_page_contention" "$SCALE" \
     | tee "$TMP/fig14.txt"
 
-# fig15 runs its own lock-free on/off legs internally per thread
-# count (the per-CPU slab-lock analogue of fig14), plus a
-# deferred-heavy mix leg and the residual-miss attribution counters.
+# fig15 runs the depot churn per thread count (the per-CPU slab-lock
+# analogue of fig14) in a standard and a deferred-heavy mix, plus the
+# depot-miss attribution counters.
 echo "== fig15_slab_contention =="
 "$BUILD_DIR/bench/fig15_slab_contention" "$SCALE" \
     | tee "$TMP/fig15.txt"
-
-# Residual depot-miss mechanism matrix (DESIGN.md §14): slab-side
-# prefill x per-CPU claim ring, each on/off, harvest-ahead at the
-# build default. The run above is the prefill4_claim2 (all-default)
-# cell; the remaining three cells isolate each mechanism's share of
-# the lock_per_op reduction.
-for pf in 4 0; do
-    for cr in 2 0; do
-        [ "$pf" = 4 ] && [ "$cr" = 2 ] && continue
-        cfg="pf${pf}_cr${cr}"
-        echo "== fig15_slab_contention ($cfg) =="
-        PRUDENCE_DEPOT_PREFILL=$pf PRUDENCE_CLAIM_RING=$cr \
-            "$BUILD_DIR/bench/fig15_slab_contention" "$SCALE" \
-            | tee "$TMP/fig15_$cfg.txt"
-    done
-done
 
 # fig03 endurance leg with the telemetry monitor attached: the
 # RSS/latent-bytes/deferred-age time series land in the summary JSON
@@ -281,35 +245,36 @@ def parse_ablation_governor(path):
 
 
 def parse_fig15(path):
+    """Rows keep the `lockfree_on[_heavy]` / `on[_heavy]` keys of the
+    earlier on/off layout, so the CI lock_per_op gate and older
+    BENCH_<sha>.json files read the same cells."""
     rows = {}
     pat = re.compile(
-        r"^\s*(\d+)\s+(on|off)(-heavy)?\s+([\d.]+)\s+([\d.]+)"
+        r"^\s*(\d+)\s+(std|heavy)\s+([\d.]+)\s+([\d.]+)"
         r"\s+([\d.]+)\s*$")
     miss_pat = re.compile(
-        r"^# 8 threads (on(?:-heavy)?): miss_cold=(\d+)"
-        r" miss_gp_pending=(\d+) prefills=(\d+) claim_hits=(\d+)"
-        r" harvests_ahead=(\d+)\s*$")
+        r"^# 8 threads (std|heavy): miss_cold=(\d+)"
+        r" miss_gp_pending=(\d+) prefills=(\d+) claim_hits=(\d+)\s*$")
+    suffix = {"std": "", "heavy": "_heavy"}
     with open(path) as f:
         for line in f:
             m = pat.match(line)
             if m:
-                leg = "lockfree_" + m.group(2) + \
-                    ("_heavy" if m.group(3) else "")
+                leg = "lockfree_on" + suffix[m.group(2)]
                 rows.setdefault("threads_" + m.group(1), {})[leg] = {
-                    "ns_per_op": float(m.group(4)),
-                    "pcpu_lock_acq_per_op": float(m.group(5)),
-                    "depot_exchanges_per_op": float(m.group(6)),
+                    "ns_per_op": float(m.group(3)),
+                    "pcpu_lock_acq_per_op": float(m.group(4)),
+                    "depot_exchanges_per_op": float(m.group(5)),
                 }
                 continue
             m = miss_pat.match(line)
             if m:
-                leg = m.group(1).replace("-", "_")
+                leg = "on" + suffix[m.group(1)]
                 rows.setdefault("miss_attribution", {})[leg] = {
                     "miss_cold": int(m.group(2)),
                     "miss_gp_pending": int(m.group(3)),
                     "prefills": int(m.group(4)),
                     "claim_hits": int(m.group(5)),
-                    "harvests_ahead": int(m.group(6)),
                 }
     return rows
 
@@ -370,12 +335,6 @@ doc = {
     "configs": {},
     "fig14_page_contention": parse_fig14(f"{tmp}/fig14.txt"),
     "fig15_slab_contention": parse_fig15(f"{tmp}/fig15.txt"),
-    "fig15_mechanism_matrix": {
-        "prefill4_claim2": parse_fig15(f"{tmp}/fig15.txt"),
-        "prefill4_claim0": parse_fig15(f"{tmp}/fig15_pf4_cr0.txt"),
-        "prefill0_claim2": parse_fig15(f"{tmp}/fig15_pf0_cr2.txt"),
-        "prefill0_claim0": parse_fig15(f"{tmp}/fig15_pf0_cr0.txt"),
-    },
     "fig03_telemetry": parse_telemetry(f"{tmp}/fig03_telemetry.json"),
     "ablation_governor":
         parse_ablation_governor(f"{tmp}/ablation_governor.txt"),
@@ -391,15 +350,6 @@ for cap in ("32", "0"):
             "fig06_micro": parse_fig06(f"{tmp}/fig06_{cfg}.txt"),
             "fig13_throughput": parse_fig13(f"{tmp}/fig13_{cfg}.txt"),
         }
-cfg = "mag32_pcp32_lf0"
-doc["configs"][cfg] = {
-    "magazine_capacity": 32,
-    "pcp_high_watermark": 32,
-    "lockfree_pcpu": 0,
-    "tab01_alloc_cost": parse_tab01(f"{tmp}/tab01_{cfg}.json"),
-    "fig06_micro": parse_fig06(f"{tmp}/fig06_{cfg}.txt"),
-    "fig13_throughput": parse_fig13(f"{tmp}/fig13_{cfg}.txt"),
-}
 
 with open(out, "w") as f:
     json.dump(doc, f, indent=2, sort_keys=True)
@@ -422,36 +372,12 @@ if "peak_reduction_percent" in gov:
           f"defer p99 {gov['static']['defer_p99_ms']:.1f} -> "
           f"{gov['governed']['defer_p99_ms']:.1f} ms")
 
-lf_on = doc["configs"]["mag32_pcp32"]["tab01_alloc_cost"]
-lf_off = doc["configs"]["mag32_pcp32_lf0"]["tab01_alloc_cost"]
-if "hit_cycle_ns" in lf_on and "hit_cycle_ns" in lf_off:
-    a = lf_on["hit_cycle_ns"]["p50"]
-    b = lf_off["hit_cycle_ns"]["p50"]
-    if b > 0:
-        print(f"tab01 hit cycle p50: lock-free on {a:.1f} ns, "
-              f"off {b:.1f} ns ({100.0 * (b - a) / b:+.1f}%)")
-
-s8 = doc["fig15_slab_contention"].get("threads_8", {})
-if "lockfree_on" in s8 and "lockfree_off" in s8:
-    on_l = s8["lockfree_on"]["pcpu_lock_acq_per_op"]
-    off_l = s8["lockfree_off"]["pcpu_lock_acq_per_op"]
-    on_ns = s8["lockfree_on"]["ns_per_op"]
-    off_ns = s8["lockfree_off"]["ns_per_op"]
-    if on_ns > 0:
-        print(f"fig15 @8 threads: per-CPU lock acq/op {off_l:.4f} -> "
-              f"{on_l:.4f}, ns/op {off_ns:.1f} -> {on_ns:.1f} "
-              f"({off_ns / on_ns:.2f}x)")
-
-cells = []
-for name in ("prefill0_claim0", "prefill0_claim2", "prefill4_claim0",
-             "prefill4_claim2"):
-    cell = doc["fig15_mechanism_matrix"][name].get(
-        "threads_8", {}).get("lockfree_on")
-    if cell:
-        cells.append(f"{name} {cell['pcpu_lock_acq_per_op']:.4f}")
-if cells:
-    print("fig15 mechanism matrix @8 threads lock/op: "
-          + ", ".join(cells))
+s8 = doc["fig15_slab_contention"].get("threads_8", {}).get("lockfree_on")
+if s8:
+    print(f"fig15 @8 threads: per-CPU lock acq/op "
+          f"{s8['pcpu_lock_acq_per_op']:.4f}, depot exchanges/op "
+          f"{s8['depot_exchanges_per_op']:.4f}, ns/op "
+          f"{s8['ns_per_op']:.1f}")
 
 for key in ("scenario_burst", "scenario_diurnal", "scenario_churn"):
     legs = doc.get(key, {})

@@ -49,9 +49,6 @@ PrudenceAllocator::PrudenceAllocator(GracePeriodDomain& domain,
             size_class_name(i), kSizeClasses[i], buddy_, owners_,
             cpu_registry_.max_cpus());
         caches_[i]->index = i;
-        caches_[i]->depot =
-            std::make_unique<MagazineDepot>(depot_budget());
-        init_claim_rings(*caches_[i]);
     }
     cache_count_.store(kNumSizeClasses, std::memory_order_release);
 
@@ -142,9 +139,6 @@ PrudenceAllocator::create_cache(const std::string& name,
     caches_[count] = std::make_unique<Cache>(
         name, object_size, buddy_, owners_, cpu_registry_.max_cpus());
     caches_[count]->index = count;
-    caches_[count]->depot =
-        std::make_unique<MagazineDepot>(depot_budget());
-    init_claim_rings(*caches_[count]);
     // A cache created while the governor holds admission below
     // nominal starts at the restricted boundary too.
     if (latent_admission_pct_.load(std::memory_order_relaxed) < 100) {
@@ -1022,40 +1016,37 @@ PrudenceAllocator::magazine_alloc_slow(Cache& c, ThreadMagazines& t,
     // Lock-free refill (DESIGN.md §14): one CAS exchanges a whole
     // full (or grace-period-complete deferred) magazine block from
     // the CPU's claim ring or the depot — no per-CPU lock, no
-    // splice. A miss with prefill enabled grows straight into whole
-    // depot blocks (one node-lock acquisition, no per-CPU lock)
-    // before falling through to the legacy locked path.
-    if (depot_enabled(c)) {
-        bool prefilled = false;
-        DepotMagazine* blk = depot_pop_reusable(c, t, stats);
-        if (blk == nullptr && config_.depot_prefill_blocks > 0) {
-            blk = depot_prefill(c, t, stats);
-            prefilled = blk != nullptr;
-        }
-        if (blk != nullptr) {
-            std::size_t got_lf = blk->count;
-            assert(got_lf > 0 && got_lf <= m.objects.capacity());
-            for (std::size_t i = 0; i < got_lf; ++i)
-                m.objects.push(blk->objs[i]);
-            c.depot->release_empty(blk);
-            // The gauge counts application-held + magazine-held:
-            // these objects leave depot custody now.
-            stats.live_objects.add(static_cast<std::int64_t>(got_lf));
-            // Served without touching slabs: a hit, like the locked
-            // path's !refilled case (a prefill DID touch slabs, so it
-            // counts like the locked path's refilled case instead).
-            // Stat deltas fold through the atomic counters only — the
-            // pc event rates (preflush aggressiveness) are a
-            // locked-path signal.
-            if (!prefilled)
-                ++m.stats.cache_hits;
-            m.stats.flush_into(stats);
-            PRUDENCE_TRACE_EMIT(trace::EventId::kMagRefill, got_lf,
-                                t.cpu);
-            void* obj = m.objects.pop();
-            assert(obj != nullptr);
-            return obj;
-        }
+    // splice. A miss grows straight into whole depot blocks (one
+    // node-lock acquisition, no per-CPU lock); only when the prefill
+    // is refused (budget exhausted, slabs and pages empty, injected
+    // refill failure) does the locked splice below run.
+    bool prefilled = false;
+    DepotMagazine* blk = depot_pop_reusable(c, t, stats);
+    if (blk == nullptr) {
+        blk = depot_prefill(c, t, stats);
+        prefilled = blk != nullptr;
+    }
+    if (blk != nullptr) {
+        std::size_t got_lf = blk->count;
+        assert(got_lf > 0 && got_lf <= m.objects.capacity());
+        for (std::size_t i = 0; i < got_lf; ++i)
+            m.objects.push(blk->objs[i]);
+        c.depot.release_empty(blk);
+        // The gauge counts application-held + magazine-held: these
+        // objects leave depot custody now.
+        stats.live_objects.add(static_cast<std::int64_t>(got_lf));
+        // Served without touching slabs: a hit, like the locked
+        // path's !refilled case (a prefill DID touch slabs, so it
+        // counts like the locked path's refilled case instead). Stat
+        // deltas fold through the atomic counters only — the pc event
+        // rates (preflush aggressiveness) are a locked-path signal.
+        if (!prefilled)
+            ++m.stats.cache_hits;
+        m.stats.flush_into(stats);
+        PRUDENCE_TRACE_EMIT(trace::EventId::kMagRefill, got_lf, t.cpu);
+        void* obj = m.objects.pop();
+        assert(obj != nullptr);
+        return obj;
     }
 
     std::size_t want = m.objects.capacity() / 2;
@@ -1134,42 +1125,34 @@ PrudenceAllocator::magazine_flush(Cache& c, ThreadMagazines& t,
     // depot as one full block — a single CAS publishes it to any
     // thread's next refill. Falls through to the locked splice when
     // the depot's block budget is exhausted.
-    if (depot_enabled(c) && k <= kMaxMagazineCapacity) {
-        if (DepotMagazine* blk = c.depot->acquire_empty()) {
-            for (std::size_t i = 0; i < k; ++i)
-                blk->objs[i] = victims[i];
-            blk->count = k;
-            // Between filling the block and the publishing CAS: the
-            // batch is in nobody's shared custody (live_objects still
-            // counts it) — the window validate() must survive.
-            PRUDENCE_SIM_YIELD(kDepotExchange);
-            // Gauge before publish: once the CAS lands another thread
-            // may pop the block and re-add these to live_objects, so
-            // subtracting first keeps the peak gauge from counting
-            // the batch twice (transient under-count instead).
-            stats.live_objects.sub(static_cast<std::int64_t>(k));
-            LockFreeRing* ring =
-                claim_enabled(c) ? pc.claim.get() : nullptr;
-            bool parked = false;
-            if (ring != nullptr) {
-                // Park in this CPU's claim ring first: the block
-                // stays depot custody, so the full-objects gauge is
-                // adjusted here in push_full's stead — add BEFORE the
-                // publish so a concurrent claimer's subtraction can
-                // never under-flow the unsigned gauge.
-                c.depot->note_claimed_full(k);
-                PRUDENCE_SIM_YIELD(kDepotClaim);
-                parked = ring->push(blk);
-                if (!parked)
-                    c.depot->note_unclaimed_full(k);
-            }
-            if (!parked)
-                c.depot->push_full(blk);
-            stats.depot_exchanges.add();
-            m.stats.flush_into(stats);
-            PRUDENCE_TRACE_EMIT(trace::EventId::kMagFlush, k, t.cpu);
-            return;
+    if (DepotMagazine* blk = c.depot.acquire_empty()) {
+        for (std::size_t i = 0; i < k; ++i)
+            blk->objs[i] = victims[i];
+        blk->count = k;
+        // Between filling the block and the publishing CAS: the batch
+        // is in nobody's shared custody (live_objects still counts
+        // it) — the window validate() must survive.
+        PRUDENCE_SIM_YIELD(kDepotExchange);
+        // Gauge before publish: once the CAS lands another thread may
+        // pop the block and re-add these to live_objects, so
+        // subtracting first keeps the peak gauge from counting the
+        // batch twice (transient under-count instead).
+        stats.live_objects.sub(static_cast<std::int64_t>(k));
+        // Park in this CPU's claim ring first: the block stays depot
+        // custody, so the full-objects gauge is adjusted here in
+        // push_full's stead — add BEFORE the publish so a concurrent
+        // claimer's subtraction can never under-flow the unsigned
+        // gauge.
+        c.depot.note_claimed_full(k);
+        PRUDENCE_SIM_YIELD(kDepotClaim);
+        if (!pc.claim.push(blk)) {
+            c.depot.note_unclaimed_full(k);
+            c.depot.push_full(blk);
         }
+        stats.depot_exchanges.add();
+        m.stats.flush_into(stats);
+        PRUDENCE_TRACE_EMIT(trace::EventId::kMagFlush, k, t.cpu);
+        return;
     }
 
     {
@@ -1239,29 +1222,27 @@ PrudenceAllocator::magazine_spill_defers(Cache& c, ThreadMagazines& t,
     // Deferred blocks may hold at most HALF the budget; overflow
     // batches ride the latent ring instead (one lock per batch,
     // amortized over kDeferBatch members).
-    if (depot_enabled(c) && n <= kMaxMagazineCapacity &&
-        c.depot->deferred_blocks() * 2 < c.depot->block_budget()) {
-        if (DepotMagazine* blk = c.depot->acquire_empty()) {
-            for (std::size_t j = 0; j < n; ++j) {
-                PRUDENCE_SIM_STMT(
-                    sim::model_on_spill(m.defers[j], epoch));
-                blk->objs[j] = m.defers[j];
-            }
-            blk->count = n;
-            blk->epoch = epoch;
-            blk->defer_ts = defer_ts;
-            PRUDENCE_SIM_YIELD(kDepotExchange);
-            // Gauges before publish (same reason as the flush path):
-            // a concurrent harvest must not double-count the batch.
-            stats.live_objects.sub(static_cast<std::int64_t>(n));
-            stats.deferred_outstanding.add(
-                static_cast<std::int64_t>(n));
-            c.depot->push_deferred(blk);
-            stats.depot_exchanges.add();
-            m.stats.flush_into(stats);
-            m.defer_count = 0;
-            return;
+    DepotMagazine* blk = nullptr;
+    if (c.depot.deferred_blocks() * 2 < kDepotBlockBudget)
+        blk = c.depot.acquire_empty();
+    if (blk != nullptr) {
+        for (std::size_t j = 0; j < n; ++j) {
+            PRUDENCE_SIM_STMT(sim::model_on_spill(m.defers[j], epoch));
+            blk->objs[j] = m.defers[j];
         }
+        blk->count = n;
+        blk->epoch = epoch;
+        blk->defer_ts = defer_ts;
+        PRUDENCE_SIM_YIELD(kDepotExchange);
+        // Gauges before publish (same reason as the flush path): a
+        // concurrent harvest must not double-count the batch.
+        stats.live_objects.sub(static_cast<std::int64_t>(n));
+        stats.deferred_outstanding.add(static_cast<std::int64_t>(n));
+        c.depot.push_deferred(blk);
+        stats.depot_exchanges.add();
+        m.stats.flush_into(stats);
+        m.defer_count = 0;
+        return;
     }
     m.defer_count = 0;
 
@@ -1419,38 +1400,47 @@ record_depot_ages(const DepotMagazine& blk)
 
 }  // namespace
 
+bool
+PrudenceAllocator::reap_ripe_block(Cache& c, DepotMagazine& blk,
+                                   GpEpoch completed)
+{
+    bool safe = blk.epoch <= completed;
+    // Deliberate bug kUnprotectedDepotPop: treat every deferred block
+    // as reusable. Members still inside their grace period reach
+    // allocators — the reuse-before-grace-period violation the
+    // model's reuse check exists to catch. See BugId.
+    PRUDENCE_SIM_STMT(
+        if (sim::bug_enabled(sim::BugId::kUnprotectedDepotPop))
+            safe = true);
+    if (!safe)
+        return false;
+    for (std::size_t i = 0; i < blk.count; ++i)
+        PRUDENCE_SIM_STMT(sim::model_on_reuse(blk.objs[i]));
+    record_depot_ages(blk);
+    c.pool.stats().deferred_outstanding.sub(
+        static_cast<std::int64_t>(blk.count));
+    return true;
+}
+
 DepotMagazine*
 PrudenceAllocator::depot_pop_reusable(Cache& c, ThreadMagazines& t,
                                       CacheStats& stats)
 {
-    MagazineDepot& d = *c.depot;
-    if (claim_enabled(c)) {
-        // CPU-local claim ring first: a block parked here is refilled
-        // without touching the shared Treiber stacks at all.
-        LockFreeRing& ring = *c.cpus[t.cpu]->claim;
-        if (void* raw = ring.pop()) {
-            auto* blk = static_cast<DepotMagazine*>(raw);
-            // Custody contract (magazine_depot.h): the full-objects
-            // gauge counted the parked block; subtract only now that
-            // the claim succeeded.
-            d.note_unclaimed_full(blk->count);
-            stats.depot_claim_hits.add();
-            stats.depot_exchanges.add();
-            return blk;
-        }
+    MagazineDepot& d = c.depot;
+    // CPU-local claim ring first: a block parked here is refilled
+    // without touching the shared Treiber stacks at all.
+    if (void* raw = c.cpus[t.cpu]->claim.pop()) {
+        auto* blk = static_cast<DepotMagazine*>(raw);
+        // Custody contract (magazine_depot.h): the full-objects gauge
+        // counted the parked block; subtract only now that the claim
+        // succeeded.
+        d.note_unclaimed_full(blk->count);
+        stats.depot_claim_hits.add();
+        stats.depot_exchanges.add();
+        return blk;
     }
     if (DepotMagazine* blk = d.pop_full()) {
         stats.depot_exchanges.add();
-        // Harvest-ahead (DESIGN.md §14): this pop left the full stock
-        // below the low watermark while ripe deferred blocks may be
-        // waiting — promote a couple NOW so the next refill finds
-        // stock instead of paying a gp_pending miss.
-        if (config_.harvest_ahead &&
-            d.full_blocks() < config_.harvest_low_blocks &&
-            d.deferred_blocks() > 0) {
-            depot_harvest_ahead(c, refresh_completed(t),
-                                /*max_blocks=*/2);
-        }
         return blk;
     }
 
@@ -1467,17 +1457,9 @@ PrudenceAllocator::depot_pop_reusable(Cache& c, ThreadMagazines& t,
             break;
         // Between reading the block's tag and claiming its members:
         // `completed` was read before this window, so it can only be
-        // stale-small — the check below stays conservative.
+        // stale-small — the check stays conservative.
         PRUDENCE_SIM_YIELD(kDepotHarvest);
-        bool safe = blk->epoch <= completed;
-        // Deliberate bug kUnprotectedDepotPop: treat every deferred
-        // block as reusable. Members still inside their grace period
-        // reach allocators — the reuse-before-grace-period violation
-        // the model's reuse check exists to catch. See BugId.
-        PRUDENCE_SIM_STMT(
-            if (sim::bug_enabled(sim::BugId::kUnprotectedDepotPop))
-                safe = true);
-        if (safe) {
+        if (reap_ripe_block(c, *blk, completed)) {
             found = blk;
             break;
         }
@@ -1488,20 +1470,15 @@ PrudenceAllocator::depot_pop_reusable(Cache& c, ThreadMagazines& t,
     if (found == nullptr) {
         // Miss attribution (DESIGN.md §14): a miss with unsafe
         // deferred blocks in view means stock EXISTS but its grace
-        // periods are still open (gp_pending — expedite or harvest
-        // ahead would have helped); with none in view the depot is
-        // simply cold (only slab-side prefill can help).
+        // periods are still open (gp_pending — only expediting would
+        // have helped); with none in view the depot is simply cold
+        // (slab-side prefill's case).
         if (n_unsafe > 0)
             stats.depot_miss_gp_pending.add();
         else
             stats.depot_miss_cold.add();
         return nullptr;
     }
-    for (std::size_t i = 0; i < found->count; ++i)
-        PRUDENCE_SIM_STMT(sim::model_on_reuse(found->objs[i]));
-    record_depot_ages(*found);
-    stats.deferred_outstanding.sub(
-        static_cast<std::int64_t>(found->count));
     stats.latent_merge_hits.add();
     stats.depot_exchanges.add();
     return found;
@@ -1510,9 +1487,7 @@ PrudenceAllocator::depot_pop_reusable(Cache& c, ThreadMagazines& t,
 std::size_t
 PrudenceAllocator::depot_harvest_safe(Cache& c)
 {
-    if (!depot_enabled(c))
-        return 0;
-    MagazineDepot& d = *c.depot;
+    MagazineDepot& d = c.depot;
     GpEpoch completed = domain_.completed_epoch();
     std::vector<DepotMagazine*> blocks;
     while (DepotMagazine* blk = d.pop_deferred())
@@ -1520,70 +1495,15 @@ PrudenceAllocator::depot_harvest_safe(Cache& c)
     std::size_t harvested = 0;
     for (DepotMagazine* blk : blocks) {
         PRUDENCE_SIM_YIELD(kDepotHarvest);
-        bool safe = blk->epoch <= completed;
-        PRUDENCE_SIM_STMT(
-            if (sim::bug_enabled(sim::BugId::kUnprotectedDepotPop))
-                safe = true);
-        if (!safe) {
+        if (!reap_ripe_block(c, *blk, completed)) {
             d.push_deferred(blk);
             continue;
         }
-        for (std::size_t i = 0; i < blk->count; ++i)
-            PRUDENCE_SIM_STMT(sim::model_on_reuse(blk->objs[i]));
-        record_depot_ages(*blk);
-        c.pool.stats().deferred_outstanding.sub(
-            static_cast<std::int64_t>(blk->count));
         harvested += blk->count;
         blk->defer_ts = 0;  // age recorded; full blocks carry no stamp
         d.push_full(blk);  // immediately reusable from here on
     }
     return harvested;
-}
-
-std::size_t
-PrudenceAllocator::depot_harvest_ahead(Cache& c, GpEpoch completed,
-                                       std::size_t max_blocks)
-{
-    // The hot-path arm of harvest-ahead: same safety check as
-    // depot_pop_reusable's deferred scan, but promoted blocks go to
-    // the full stack instead of the caller — stock for the NEXT
-    // refill. Bounded like the scan so a deep unsafe backlog cannot
-    // stall the allocation that triggered it.
-    MagazineDepot& d = *c.depot;
-    CacheStats& stats = c.pool.stats();
-    if (max_blocks > 4)
-        max_blocks = 4;
-    DepotMagazine* unsafe_blocks[4];
-    std::size_t n_unsafe = 0;
-    std::size_t blocks_done = 0;
-    std::size_t promoted = 0;
-    while (blocks_done < max_blocks && n_unsafe < 4) {
-        DepotMagazine* blk = d.pop_deferred();
-        if (blk == nullptr)
-            break;
-        PRUDENCE_SIM_YIELD(kDepotHarvest);
-        bool safe = blk->epoch <= completed;
-        PRUDENCE_SIM_STMT(
-            if (sim::bug_enabled(sim::BugId::kUnprotectedDepotPop))
-                safe = true);
-        if (!safe) {
-            unsafe_blocks[n_unsafe++] = blk;
-            continue;
-        }
-        for (std::size_t i = 0; i < blk->count; ++i)
-            PRUDENCE_SIM_STMT(sim::model_on_reuse(blk->objs[i]));
-        record_depot_ages(*blk);
-        stats.deferred_outstanding.sub(
-            static_cast<std::int64_t>(blk->count));
-        promoted += blk->count;
-        blk->defer_ts = 0;
-        d.push_full(blk);
-        stats.depot_harvests_ahead.add();
-        ++blocks_done;
-    }
-    for (std::size_t i = 0; i < n_unsafe; ++i)
-        d.push_deferred(unsafe_blocks[i]);
-    return promoted;
 }
 
 DepotMagazine*
@@ -1597,16 +1517,13 @@ PrudenceAllocator::depot_prefill(Cache& c, ThreadMagazines& t,
     // entirely.
     if (PRUDENCE_FAULT_POINT(kRefillFail)) {
         // Injected refill failure covers every slab-touching refill
-        // path; the legacy locked refill below will refuse too.
+        // path; the locked refill fallback will refuse too.
         return nullptr;
     }
-    MagazineDepot& d = *c.depot;
-    std::size_t max_blocks = config_.depot_prefill_blocks;
-    if (max_blocks > 8)
-        max_blocks = 8;
-    DepotMagazine* blocks[8];
+    MagazineDepot& d = c.depot;
+    DepotMagazine* blocks[kDepotPrefillBlocks];
     std::size_t acquired = 0;
-    while (acquired < max_blocks) {
+    while (acquired < kDepotPrefillBlocks) {
         DepotMagazine* blk = d.acquire_empty();
         if (blk == nullptr)
             break;  // block budget exhausted: fill what we have
@@ -1680,24 +1597,11 @@ PrudenceAllocator::depot_prefill(Cache& c, ThreadMagazines& t,
 }
 
 void
-PrudenceAllocator::init_claim_rings(Cache& c)
-{
-    if (!claim_enabled(c))
-        return;
-    for (auto& pc : c.cpus)
-        pc->claim =
-            std::make_unique<LockFreeRing>(config_.depot_claim_blocks);
-}
-
-void
 PrudenceAllocator::depot_unclaim_all(Cache& c)
 {
-    if (!claim_enabled(c))
-        return;
-    MagazineDepot& d = *c.depot;
+    MagazineDepot& d = c.depot;
     for (auto& pc : c.cpus) {
-        LockFreeRing& ring = *pc->claim;
-        while (void* raw = ring.pop()) {
+        while (void* raw = pc->claim.pop()) {
             auto* blk = static_cast<DepotMagazine*>(raw);
             // Gauge-neutral custody move: the claim subtraction and
             // push_full's addition cancel — the block never stops
@@ -1712,9 +1616,9 @@ std::size_t
 PrudenceAllocator::depot_release_full(Cache& c,
                                       std::size_t keep_full_blocks)
 {
-    if (c.depot == nullptr || c.depot->blocks_created() == 0)
+    if (c.depot.blocks_created() == 0)
         return 0;
-    MagazineDepot& d = *c.depot;
+    MagazineDepot& d = c.depot;
     // Claim-ring blocks are depot custody too: fold them back into
     // the shared full stack first so the keep/drain split below sees
     // the whole cached capacity (retention, trim, drain and reclaim
@@ -1764,46 +1668,37 @@ PrudenceAllocator::depot_release_full(Cache& c,
 std::size_t
 PrudenceAllocator::depot_drain(Cache& c, std::size_t keep_full_blocks)
 {
-    if (c.depot == nullptr || c.depot->blocks_created() == 0)
+    if (c.depot.blocks_created() == 0)
         return 0;
-    MagazineDepot& d = *c.depot;
+    MagazineDepot& d = c.depot;
     GpEpoch completed = domain_.completed_epoch();
     std::size_t released = depot_release_full(c, keep_full_blocks);
 
-    std::vector<DepotMagazine*> deferred;
+    std::vector<DepotMagazine*> ripe;
+    std::vector<DepotMagazine*> open;
     while (DepotMagazine* blk = d.pop_deferred())
-        deferred.push_back(blk);
-    if (deferred.empty())
-        return released;
+        (reap_ripe_block(c, *blk, completed) ? ripe : open).push_back(blk);
 
     NodeLists& node = c.pool.node();
     bool want_shrink = false;
-    {
+    if (!ripe.empty()) {
         std::lock_guard<SpinLock> node_guard(node.lock);
-        for (DepotMagazine* blk : deferred) {
-            if (blk->epoch > completed)
-                continue;  // handled (preserved) below
-            record_depot_ages(*blk);
+        for (DepotMagazine* blk : ripe) {
             for (std::size_t i = 0; i < blk->count; ++i) {
-                PRUDENCE_SIM_STMT(sim::model_on_reuse(blk->objs[i]));
                 SlabHeader* slab = c.pool.slab_of(blk->objs[i]);
                 assert(slab->magic == SlabHeader::kMagicLive);
                 slab->freelist_push(blk->objs[i]);
                 node.move_to(slab,
                              NodeLists::deferred_aware_kind(slab));
             }
-            c.pool.stats().deferred_outstanding.sub(
-                static_cast<std::int64_t>(blk->count));
             released += blk->count;
         }
         want_shrink = node.free.size() > free_retention_limit(c);
     }
+    for (DepotMagazine* blk : ripe)
+        d.release_empty(blk);
     LatentRing::Entry entries[kMaxMagazineCapacity];
-    for (DepotMagazine* blk : deferred) {
-        if (blk->epoch <= completed) {
-            d.release_empty(blk);
-            continue;
-        }
+    for (DepotMagazine* blk : open) {
         // Grace period still open: preserve the deferral (tag and
         // stamp intact) in the members' slab latent rings instead.
         for (std::size_t i = 0; i < blk->count; ++i) {
@@ -1842,7 +1737,7 @@ PrudenceAllocator::harvest_depot()
 {
     // Governor actuator (DESIGN.md §13/§14): replenish full-block
     // stock from ripe deferred blocks without releasing any cached
-    // capacity — the maintenance-tick arm of harvest-ahead, also
+    // capacity — the same sweep maintenance runs each tick, also
     // schedulable on a low-stock telemetry edge. Cheap no-op when
     // nothing is deferred.
     std::lock_guard<std::mutex> sweep(sweep_mutex_);
@@ -1858,10 +1753,8 @@ PrudenceAllocator::depot_full_objects() const
 {
     std::size_t total = 0;
     std::size_t count = cache_count_.load(std::memory_order_acquire);
-    for (std::size_t i = 0; i < count; ++i) {
-        if (caches_[i]->depot)
-            total += caches_[i]->depot->full_objects();
-    }
+    for (std::size_t i = 0; i < count; ++i)
+        total += caches_[i]->depot.full_objects();
     return total;
 }
 
@@ -1870,10 +1763,8 @@ PrudenceAllocator::depot_deferred_objects() const
 {
     std::size_t total = 0;
     std::size_t count = cache_count_.load(std::memory_order_acquire);
-    for (std::size_t i = 0; i < count; ++i) {
-        if (caches_[i]->depot)
-            total += caches_[i]->depot->deferred_objects();
-    }
+    for (std::size_t i = 0; i < count; ++i)
+        total += caches_[i]->depot.deferred_objects();
     return total;
 }
 
@@ -1882,10 +1773,8 @@ PrudenceAllocator::depot_blocks_created() const
 {
     std::size_t total = 0;
     std::size_t count = cache_count_.load(std::memory_order_acquire);
-    for (std::size_t i = 0; i < count; ++i) {
-        if (caches_[i]->depot)
-            total += caches_[i]->depot->blocks_created();
-    }
+    for (std::size_t i = 0; i < count; ++i)
+        total += caches_[i]->depot.blocks_created();
     return total;
 }
 
@@ -1910,8 +1799,8 @@ PrudenceAllocator::register_telemetry_probes(
     });
     // Attributed depot misses (DESIGN.md §14): cold (no stock at all
     // — prefill territory) vs gp_pending (stock exists but its grace
-    // periods are open — harvest-ahead/expedite territory). Summed
-    // over caches from the per-cache counters.
+    // periods are open — expedite territory). Summed over caches
+    // from the per-cache counters.
     auto sum_counter = [this](const Counter CacheStats::*f) {
         std::uint64_t total = 0;
         std::size_t count =
@@ -2003,14 +1892,12 @@ PrudenceAllocator::maintenance_pass()
         // Under steady deferral traffic the hint stays high and the
         // depot keeps its working set; when the backlog drains, the
         // decay lets the cached capacity go within a few passes.
-        if (depot_enabled(c)) {
-            std::size_t per_block = config_.magazine_capacity > 0
-                                        ? config_.magazine_capacity
-                                        : 1;
+        if (config_.magazine_capacity > 0) {
+            std::size_t per_block = config_.magazine_capacity;
             std::size_t keep =
                 (static_cast<std::size_t>(new_hint) + per_block - 1) /
                 per_block;
-            if (c.depot->full_objects() > keep * per_block)
+            if (c.depot.full_objects() > keep * per_block)
                 depot_release_full(c, keep);
         }
         // Idle caches (no deferred objects anywhere) need no merging
@@ -2243,12 +2130,8 @@ PrudenceAllocator::validate()
             c.pool.stats().live_objects.get());
         auto deferred = static_cast<std::size_t>(
             c.pool.stats().deferred_outstanding.get());
-        std::size_t depot_full = 0;
-        std::size_t depot_deferred = 0;
-        if (c.depot) {
-            depot_full = c.depot->full_objects();
-            depot_deferred = c.depot->deferred_objects();
-        }
+        std::size_t depot_full = c.depot.full_objects();
+        std::size_t depot_deferred = c.depot.deferred_objects();
         if (v.outstanding_objects !=
             cached + latent + live + depot_full + depot_deferred) {
             return c.pool.name() + ": object accounting mismatch (" +

@@ -136,10 +136,10 @@ class PrudenceAllocator final : public Allocator
     std::size_t trim_depot(std::size_t keep_blocks) override;
 
     /**
-     * Harvest-ahead sweep (governor harvest_depot actuator,
-     * DESIGN.md §14): promote every grace-period-complete deferred
-     * depot block to the full stack across all caches, releasing
-     * nothing. @return objects made reusable.
+     * Ripe-block sweep (governor harvest_depot actuator, DESIGN.md
+     * §14): promote every grace-period-complete deferred depot block
+     * to the full stack across all caches, releasing nothing.
+     * @return objects made reusable.
      */
     std::size_t harvest_depot() override;
 
@@ -166,13 +166,13 @@ class PrudenceAllocator final : public Allocator
         LatentRing latent;
 
         /// Per-CPU claim ring (DESIGN.md §14): up to
-        /// depot_claim_blocks full DepotMagazine* parked CPU-locally
-        /// in front of the shared depot stacks. MPMC — threads
-        /// sharing this virtual CPU exchange blocks through it, and
-        /// drain paths pop it from any thread. Blocks stay counted in
-        /// the depot's full-objects gauge while parked (custody
-        /// contract in magazine_depot.h). null when the ring is off.
-        std::unique_ptr<LockFreeRing> claim;
+        /// kClaimRingBlocks full DepotMagazine* parked CPU-locally in
+        /// front of the shared depot stacks. MPMC — threads sharing
+        /// this virtual CPU exchange blocks through it, and drain
+        /// paths pop it from any thread. Blocks stay counted in the
+        /// depot's full-objects gauge while parked (custody contract
+        /// in magazine_depot.h).
+        LockFreeRing claim;
 
         /// Event counters for the pre-flush aggressiveness decision
         /// (owner-updated under lock; maintenance reads deltas).
@@ -190,7 +190,7 @@ class PrudenceAllocator final : public Allocator
         bool preflush_requested = false;
 
         explicit PerCpu(std::size_t capacity)
-            : cache(capacity), latent(capacity)
+            : cache(capacity), latent(capacity), claim(kClaimRingBlocks)
         {
         }
     };
@@ -227,10 +227,10 @@ class PrudenceAllocator final : public Allocator
         /// retention so a momentary drain between grace periods does
         /// not trigger a shrink storm followed by regrowth.
         std::atomic<std::int64_t> retention_hint{0};
-        /// Lock-free magazine depot (DESIGN.md §14). Block budget 0
-        /// (lockfree_pcpu off / magazines off) inert: every exchange
-        /// attempt falls back to the locked splice.
-        std::unique_ptr<MagazineDepot> depot;
+        /// Lock-free magazine depot (DESIGN.md §14); untouched when
+        /// magazines are off. On its own cache line: its stack heads
+        /// must not share one with the stats gauges above.
+        alignas(kCacheLineSize) MagazineDepot depot;
 
         Cache(std::string name, std::size_t object_size,
               BuddyAllocator& buddy, PageOwnerTable& owners,
@@ -267,18 +267,22 @@ class PrudenceAllocator final : public Allocator
     /// domain only when its completion generation has moved. Stale
     /// values are conservative (<= truth), never unsafe.
     GpEpoch refresh_completed(ThreadMagazines& t);
-    /// Magazine-empty path: refill from the per-CPU layer (one lock
-    /// acquisition for ~capacity/2 objects) and pop one object.
+    /// Magazine-empty path: take one whole depot block (prefilled
+    /// from slabs on a cold miss) and pop one object; when the depot
+    /// cannot serve, splice ~capacity/2 objects from the per-CPU
+    /// layer under its lock (DESIGN.md §14).
     void* magazine_alloc_slow(Cache& c, ThreadMagazines& t,
                               Magazine& m, bool* oom);
-    /// Magazine-full path: flush @p n cold objects to the per-CPU
+    /// Magazine-full path: publish @p n cold objects as one full depot
+    /// block; past the block budget, splice them into the per-CPU
     /// layer under one lock acquisition.
     void magazine_flush(Cache& c, ThreadMagazines& t, Magazine& m,
                         std::size_t n);
     /// Deferral-buffer-full path: tag the whole batch with ONE
     /// defer_epoch() read (conservative: >= each member's true defer
-    /// epoch) and push it into the per-CPU latent cache, spilling to
-    /// latent slabs when saturated.
+    /// epoch) and publish it as one deferred depot block; past the
+    /// deferred half-cap, push it into the per-CPU latent cache,
+    /// spilling to latent slabs when saturated.
     void magazine_spill_defers(Cache& c, ThreadMagazines& t,
                                Magazine& m);
     /// Fold the thread's stat deltas into the shared counters and the
@@ -291,28 +295,6 @@ class PrudenceAllocator final : public Allocator
 
     // ---- lock-free depot paths (DESIGN.md §14) ----
 
-    /// True when the depot fronts the per-CPU layer for @p c.
-    bool depot_enabled(const Cache& c) const
-    {
-        return config_.lockfree_pcpu && c.depot != nullptr &&
-               c.depot->block_budget() > 0;
-    }
-    /// Depot block budget per cache: 0 (inert) unless the lock-free
-    /// layer and the magazine layer it rides are both on.
-    std::size_t depot_budget() const
-    {
-        return (config_.lockfree_pcpu && config_.magazine_capacity > 0)
-                   ? config_.depot_blocks
-                   : 0;
-    }
-    /// True when per-CPU claim rings front the shared depot for @p c.
-    bool claim_enabled(const Cache& c) const
-    {
-        return config_.depot_claim_blocks > 0 && depot_enabled(c);
-    }
-    /// Build the per-CPU claim rings for @p c (construction time,
-    /// after the depot exists); no-op when the ring is configured off.
-    void init_claim_rings(Cache& c);
     /// Claim a reusable depot block: the CPU's claim ring first, then
     /// a shared full block, else a deferred block whose grace period
     /// completed (harvested: members become reusable, deferred
@@ -322,21 +304,21 @@ class PrudenceAllocator final : public Allocator
     DepotMagazine* depot_pop_reusable(Cache& c, ThreadMagazines& t,
                                       CacheStats& stats);
     /// Slab-side block prefill (DESIGN.md §14): fill up to
-    /// depot_prefill_blocks depot blocks straight from slab freelists
+    /// kDepotPrefillBlocks depot blocks straight from slab freelists
     /// under ONE node-lock acquisition; surplus blocks go to the full
     /// stack. @return one filled, exclusively-owned block for the
     /// caller, or nullptr (budget exhausted / slabs empty — the
     /// locked fallback handles OOM).
     DepotMagazine* depot_prefill(Cache& c, ThreadMagazines& t,
                                  CacheStats& stats);
-    /// Bounded harvest-ahead: promote up to @p max_blocks ripe
-    /// deferred blocks to the full stack (unsafe ones re-pushed).
-    /// The hot-path arm of the harvest-ahead mechanism; the
-    /// maintenance tick and governor run the unbounded
-    /// depot_harvest_safe instead. @return objects promoted.
-    std::size_t depot_harvest_ahead(Cache& c, GpEpoch completed,
-                                    std::size_t max_blocks);
-    /// Move every claim-ring block of @p c back to the shared full
+    /// The grace-period reuse decision for one exclusively-owned
+    /// deferred block, shared by every path that takes deferred
+    /// blocks back: when the block's stamped grace period completed
+    /// by @p completed, its members leave deferred accounting (model
+    /// reuse, age histogram, deferred_outstanding) and true is
+    /// returned; otherwise nothing changes.
+    bool reap_ripe_block(Cache& c, DepotMagazine& blk, GpEpoch completed);
+    /// Move every claim ring block of @p c back to the shared full
     /// stack so trim/drain/release sweeps see the whole depot.
     void depot_unclaim_all(Cache& c);
     /// Sweep @p c's deferred depot blocks: convert every block whose

@@ -12,13 +12,6 @@
 #include <chrono>
 #include <cstddef>
 
-// Build-time default for the lock-free per-CPU layer toggle (CMake
-// option PRUDENCE_LOCKFREE_PCPU). Both paths are always compiled —
-// the option only flips the config default, so one binary can A/B.
-#if !defined(PRUDENCE_LOCKFREE_PCPU_DEFAULT)
-#define PRUDENCE_LOCKFREE_PCPU_DEFAULT 1
-#endif
-
 namespace prudence {
 
 /// Construction parameters for PrudenceAllocator.
@@ -74,73 +67,14 @@ struct PrudenceConfig
      * Capacity of the thread-local magazines that front the per-CPU
      * caches (objects per thread per cache, and the deferral-buffer
      * depth). The fast paths of alloc/free/free_deferred then touch
-     * no lock and no shared atomic, falling into the per-CPU layer
-     * once per ~capacity/2 operations. 0 disables the layer entirely
-     * (every operation goes straight to the per-CPU caches, as in
-     * the pre-magazine allocator). Clamped per cache to the object
-     * cache capacity and to kMaxMagazineCapacity.
+     * no lock and no shared atomic, exchanging a whole block with the
+     * cache's lock-free depot (DESIGN.md §14) once per ~capacity/2
+     * operations. 0 disables the layer and the depot with it (every
+     * operation goes straight to the per-CPU caches — the paper's
+     * per-op path). Clamped per cache to the object cache capacity
+     * and to kMaxMagazineCapacity.
      */
     std::size_t magazine_capacity = 32;
-
-    /**
-     * Lock-free per-CPU layer (DESIGN.md §14): magazine refill/flush
-     * and deferral spills exchange whole magazine blocks with a
-     * per-cache lock-free depot (one CAS) instead of splicing objects
-     * under the per-CPU spinlock. false = legacy locked splice (the
-     * A/B baseline leg). Requires magazines (magazine_capacity > 0)
-     * to have any effect — the depot rides the magazine layer.
-     */
-    bool lockfree_pcpu = PRUDENCE_LOCKFREE_PCPU_DEFAULT != 0;
-
-    /**
-     * Block budget per cache depot: at most this many magazine-sized
-     * blocks (kMaxMagazineCapacity object slots each) are ever
-     * created per cache; callers fall back to the locked splice when
-     * the budget is exhausted. Bounds depot memory hoarding together
-     * with the governor's trim_depot actuator.
-     */
-    std::size_t depot_blocks = 64;
-
-    /**
-     * Harvest-ahead (DESIGN.md §14): when the depot's full-block
-     * stock drops below harvest_low_blocks, the refill fast path (in
-     * addition to the maintenance tick and the governor's
-     * harvest_depot actuator) converts ripe deferred blocks — blocks
-     * whose stamped grace period completed — into full blocks before
-     * the stock runs dry, so completed deferrals never sit
-     * un-harvested while allocations fall back to the locked splice.
-     * false = ripe blocks are harvested only at a miss (the PR 8
-     * behavior) and by maintenance.
-     */
-    bool harvest_ahead = true;
-
-    /// Full-block low watermark (blocks) that arms the hot-path
-    /// harvest-ahead check. Small by design: the trigger costs one
-    /// relaxed stack-size read per depot refill.
-    std::size_t harvest_low_blocks = 2;
-
-    /**
-     * Slab-side block prefill (DESIGN.md §14): on a depot miss with
-     * nothing reusable, grow straight into whole depot blocks — ONE
-     * node-lock acquisition fills up to this many blocks from slab
-     * freelists, one tipped into the requesting magazine and the rest
-     * pushed to the full stack for other threads. Amortizes the cold
-     * refill the way pcp_batch amortizes page allocation. 0 disables
-     * (cold misses splice one magazine under the per-CPU lock, as in
-     * PR 8).
-     */
-    std::size_t depot_prefill_blocks = 4;
-
-    /**
-     * Per-CPU claim ring (DESIGN.md §14): each CPU holds up to this
-     * many claimed full blocks in a private Vyukov ring in front of
-     * the shared depot, so steady-state refill/flush pairs exchange
-     * blocks CPU-locally without touching the shared Treiber stacks.
-     * Claimed blocks remain depot custody (counted in the
-     * full-objects gauge, reclaimed by trim/drain). 0 disables the
-     * ring (every exchange goes to the shared stacks, as in PR 8).
-     */
-    std::size_t depot_claim_blocks = 2;
 
     /**
      * Free blocks kept per (CPU, order) in the buddy allocator's

@@ -537,7 +537,8 @@ default_schemes(const DefaultSchemeTuning& tuning)
 
     // Depot stock running low: promote every ripe deferred block to
     // the full stack before refills start paying gp_pending misses
-    // (DESIGN.md §14 harvest-ahead, the maintenance/governor arm).
+    // (DESIGN.md §14: the sweep maintenance runs each tick, here on a
+    // low-stock edge).
     // Harvesting is a cheap no-op when nothing is deferred, so a
     // kBelow rule that is trivially active on an idle depot costs
     // only the edge dispatch per excursion.

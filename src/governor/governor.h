@@ -87,7 +87,7 @@ enum class ActionId : std::uint8_t {
     kTrimPcp,       ///< edge: trim per-CPU page caches (arg = keep/order)
     kTrimDepot,     ///< edge: trim magazine depot (arg = keep blocks)
     kHarvestDepot,  ///< edge: replenish depot full stock from ripe
-                    ///< deferred blocks (harvest-ahead, arg unused)
+                    ///< deferred blocks (ripe-block sweep, arg unused)
     kReclaim,       ///< edge: harvest every already-safe deferral
     kMaxAction
 };
@@ -174,9 +174,9 @@ class Actuators
     virtual bool trim_depot(std::size_t keep_blocks) = 0;
 
     /// Edge: replenish the depot's full-block stock by promoting
-    /// every grace-period-complete deferred block (DESIGN.md §14
-    /// harvest-ahead) — trim_depot's stock-side counterpart; releases
-    /// nothing.
+    /// every grace-period-complete deferred block (DESIGN.md §14, the
+    /// sweep maintenance also runs) — trim_depot's stock-side
+    /// counterpart; releases nothing.
     virtual bool harvest_depot() = 0;
 
     /// Edge: harvest every deferral whose grace period completed.

@@ -97,7 +97,7 @@ enum class YieldId : std::uint16_t {
     kDepotPrefill,   ///< between filling prefill blocks from slab
                      ///< freelists and publishing them to the full
                      ///< stack (objects in no shared structure)
-    kDepotClaim,     ///< between a claim-ring block transfer and the
+    kDepotClaim,     ///< between a claim ring block transfer and the
                      ///< matching full-objects gauge adjustment
 
     kMaxYield

@@ -42,6 +42,20 @@ inline constexpr std::size_t kMaxSlabCaches = 256;
 /// in the per-CPU cache (128 < the per-CPU flush clamp of 256).
 inline constexpr std::size_t kMaxMagazineCapacity = 128;
 
+// Magazine-boundary constants (DESIGN.md §14).
+
+/// Depot blocks (kMaxMagazineCapacity object slots each) a cache ever
+/// creates; past it the boundary falls back to the locked splice.
+inline constexpr std::size_t kDepotBlockBudget = 64;
+
+/// Blocks one cold depot miss fills from slab freelists under a single
+/// node-lock acquisition (SLUB: refill batches per ring-empty refill).
+inline constexpr std::size_t kDepotPrefillBlocks = 4;
+
+/// Full blocks each CPU parks in its claim ring in front of the shared
+/// depot stacks.
+inline constexpr std::size_t kClaimRingBlocks = 2;
+
 /**
  * Per-thread statistic deltas, folded into the shared CacheStats at
  * batch boundaries. Plain integers: single writer (the owning

@@ -18,9 +18,9 @@
  * Blocks live on three LockFreeBlockStack instances (full, deferred,
  * empty). They are allocated from a mutex-guarded arena (growth is a
  * rare cold path), are TYPE-STABLE (never freed before the depot's
- * destructor — the stack's node contract), and bounded by a block
- * budget so the depot cannot hoard unbounded memory; when the budget
- * is exhausted callers fall back to the legacy locked splice.
+ * destructor — the stack's node contract), and bounded by
+ * kDepotBlockBudget so the depot cannot hoard unbounded memory; when
+ * the budget is exhausted callers fall back to the locked splice.
  *
  * Payload ordering: a block's fields (count, epoch, objs[]) are
  * written only by its exclusive owner — the thread that popped (or
@@ -72,17 +72,11 @@ struct DepotMagazine {
 
 /**
  * Per-cache magazine depot: three lock-free stacks of DepotMagazine
- * blocks plus a budgeted type-stable arena.
+ * blocks plus a type-stable arena of at most kDepotBlockBudget blocks.
  */
 class MagazineDepot {
 public:
-    /// @p block_budget caps how many blocks this depot ever creates;
-    /// 0 disables the depot (every acquire_empty() fails).
-    explicit MagazineDepot(std::size_t block_budget)
-        : block_budget_(block_budget)
-    {
-    }
-
+    MagazineDepot() = default;
     MagazineDepot(const MagazineDepot&) = delete;
     MagazineDepot& operator=(const MagazineDepot&) = delete;
 
@@ -96,10 +90,10 @@ public:
         if (auto* h = empty_.pop())
             return from_hook(h);
         if (blocks_created_.load(std::memory_order_relaxed) >=
-            block_budget_)
+            kDepotBlockBudget)
             return nullptr;
         std::lock_guard<std::mutex> guard(arena_mutex_);
-        if (arena_.size() >= block_budget_)
+        if (arena_.size() >= kDepotBlockBudget)
             return nullptr;
         arena_.push_back(std::make_unique<DepotMagazine>());
         blocks_created_.store(arena_.size(),
@@ -158,7 +152,7 @@ public:
         return block;
     }
 
-    // -- claim-ring custody (DESIGN.md §14) --
+    // -- claim ring custody (DESIGN.md §14) --
     //
     // Full blocks parked in a per-CPU claim ring stay DEPOT custody:
     // the full-objects gauge keeps counting them so validate(),
@@ -168,14 +162,14 @@ public:
     // add BEFORE parking a block (transient over-count, never an
     // unsigned under-flow) and subtract AFTER claiming one.
 
-    /// A filled block entered claim-ring custody without passing
+    /// A filled block entered claim ring custody without passing
     /// through push_full() (count objects join the gauge).
     void note_claimed_full(std::size_t count)
     {
         full_objects_.fetch_add(count, std::memory_order_relaxed);
     }
 
-    /// A block left claim-ring custody without passing through
+    /// A block left claim ring custody without passing through
     /// pop_full() (count objects leave the gauge).
     void note_unclaimed_full(std::size_t count)
     {
@@ -203,8 +197,6 @@ public:
         return blocks_created_.load(std::memory_order_relaxed);
     }
 
-    std::size_t block_budget() const { return block_budget_; }
-
 private:
     static DepotMagazine* from_hook(LockFreeBlockStack::Hook* h)
     {
@@ -215,8 +207,6 @@ private:
                       "hook-to-block recovery needs standard layout");
         return reinterpret_cast<DepotMagazine*>(h);
     }
-
-    const std::size_t block_budget_;
 
     LockFreeBlockStack full_;
     LockFreeBlockStack deferred_;

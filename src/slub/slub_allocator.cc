@@ -14,14 +14,14 @@ namespace prudence {
 
 SlubAllocator::Cache::Cache(std::string name, std::size_t object_size,
                             BuddyAllocator& buddy, PageOwnerTable& owners,
-                            unsigned ncpus, bool lockfree)
+                            unsigned ncpus)
     : pool(std::move(name), object_size, buddy, owners)
 {
     pool.set_context(this);
     cpus.reserve(ncpus);
     for (unsigned i = 0; i < ncpus; ++i) {
-        cpus.push_back(std::make_unique<PerCpu>(
-            pool.geometry().cache_capacity, lockfree));
+        cpus.push_back(std::make_unique<LockFreeRing>(
+            pool.geometry().cache_capacity));
     }
 }
 
@@ -33,8 +33,6 @@ SlubAllocator::SlubAllocator(GracePeriodDomain& domain,
       owners_(buddy_),
       cpu_registry_(config.cpus),
       magazine_capacity_(config.magazine_capacity),
-      lockfree_pcpu_(config.lockfree_pcpu),
-      depot_prefill_blocks_(config.depot_prefill_blocks),
       pressure_drain_batch_(config.pressure_drain_batch),
       magazine_registry_(ThreadCacheRegistry::Hooks{
           [this](void* t) {
@@ -46,7 +44,7 @@ SlubAllocator::SlubAllocator(GracePeriodDomain& domain,
     for (std::size_t i = 0; i < kNumSizeClasses; ++i) {
         caches_[i] = std::make_unique<Cache>(
             size_class_name(i), kSizeClasses[i], buddy_, owners_,
-            cpu_registry_.max_cpus(), lockfree_pcpu_);
+            cpu_registry_.max_cpus());
         caches_[i]->index = i;
     }
     cache_count_.store(kNumSizeClasses, std::memory_order_release);
@@ -149,8 +147,7 @@ SlubAllocator::create_cache(const std::string& name,
     if (count == kMaxCaches)
         throw std::runtime_error("SlubAllocator: too many caches");
     caches_[count] = std::make_unique<Cache>(
-        name, object_size, buddy_, owners_, cpu_registry_.max_cpus(),
-        lockfree_pcpu_);
+        name, object_size, buddy_, owners_, cpu_registry_.max_cpus());
     caches_[count]->index = count;
     cache_count_.store(count + 1, std::memory_order_release);
     return CacheId{count};
@@ -212,51 +209,11 @@ SlubAllocator::alloc_impl(Cache& c)
                         trace::EventId::kAllocSpan);
     alloc_span.set_args(c.pool.geometry().object_size);
 
-    PerCpu& pc = *c.cpus[cpu_registry_.cpu_id()];
-    if (pc.ring) {
-        // Lock-free leg: one CAS pop on the hit path. CacheStats
-        // counters are atomic, so no per-CPU lock is needed anywhere
-        // here — misses take only the node lock inside refill_batch.
-        if (void* obj = pc.ring->pop()) {
-            stats.cache_hits.add();
-            stats.live_objects.add();
-            PRUDENCE_TRACE_STMT({
-                static Counter& hits =
-                    trace::MetricsRegistry::instance().counter(
-                        "slub.cache_hit");
-                hits.add();
-            });
-            return obj;
-        }
-        PRUDENCE_TRACE_STMT({
-            static Counter& misses =
-                trace::MetricsRegistry::instance().counter(
-                    "slub.cache_miss");
-            misses.add();
-        });
-        void* batch[256];
-        std::size_t want = c.pool.geometry().refill_target;
-        if (want > 256)
-            want = 256;
-        std::size_t got = refill_batch(c, batch, want);
-        if (got == 0)
-            return nullptr;  // out of memory
-        stats.live_objects.add();
-        for (std::size_t i = 1; i < got; ++i) {
-            if (!pc.ring->push(batch[i])) {
-                // Concurrent frees filled the ring meanwhile: return
-                // the surplus straight to the slabs.
-                flush_batch(c, batch + i, got - i);
-                break;
-            }
-        }
-        return batch[0];
-    }
-
-    stats.pcpu_lock_acquisitions.add();
-    std::lock_guard<SpinLock> guard(pc.lock);
-
-    if (void* obj = pc.cache.pop()) {
+    // One CAS pop on the hit path. CacheStats counters are atomic, so
+    // no per-CPU lock is needed anywhere here — misses take only the
+    // node lock inside refill_batch.
+    LockFreeRing& ring = *c.cpus[cpu_registry_.cpu_id()];
+    if (void* obj = ring.pop()) {
         stats.cache_hits.add();
         stats.live_objects.add();
         PRUDENCE_TRACE_STMT({
@@ -269,58 +226,26 @@ SlubAllocator::alloc_impl(Cache& c)
     }
     PRUDENCE_TRACE_STMT({
         static Counter& misses =
-            trace::MetricsRegistry::instance().counter(
-                "slub.cache_miss");
+            trace::MetricsRegistry::instance().counter("slub.cache_miss");
         misses.add();
     });
-
-    if (!refill(c, pc.cache))
-        return nullptr;  // out of memory
-
-    void* obj = pc.cache.pop();
-    assert(obj != nullptr);
-    stats.live_objects.add();
-    return obj;
-}
-
-bool
-SlubAllocator::refill(Cache& c, ObjectCache& cache)
-{
-    if (PRUDENCE_FAULT_POINT(kRefillFail)) {
-        // Injected refill failure: indistinguishable from every slab
-        // being unusable and the page allocator refusing to grow.
-        return false;
-    }
-    NodeLists& node = c.pool.node();
+    void* batch[256];
     std::size_t want = c.pool.geometry().refill_target;
-    std::size_t moved = 0;
-
-    std::lock_guard<SpinLock> node_guard(node.lock);
-    while (moved < want) {
-        SlabHeader* slab = node.partial.front();
-        if (slab == nullptr)
-            slab = node.free.front();
-        if (slab == nullptr) {
-            // Grow the slab cache. Dropping the node lock for the
-            // page allocation is unnecessary here: the buddy has its
-            // own lock and this keeps the refill atomic.
-            slab = c.pool.grow();
-            if (slab == nullptr)
-                break;
-            node.move_to(slab, SlabListKind::kPartial);
+    if (want > 256)
+        want = 256;
+    std::size_t got = refill_batch(c, batch, want);
+    if (got == 0)
+        return nullptr;  // out of memory
+    stats.live_objects.add();
+    for (std::size_t i = 1; i < got; ++i) {
+        if (!ring.push(batch[i])) {
+            // Concurrent frees filled the ring meanwhile: return the
+            // surplus straight to the slabs.
+            flush_batch(c, batch + i, got - i);
+            break;
         }
-        while (moved < want) {
-            void* obj = slab->freelist_pop();
-            if (obj == nullptr)
-                break;
-            cache.push(obj);
-            ++moved;
-        }
-        node.move_to(slab, NodeLists::natural_kind(slab));
     }
-    if (moved > 0)
-        c.pool.stats().refills.add();
-    return moved > 0;
+    return batch[0];
 }
 
 void
@@ -349,57 +274,33 @@ SlubAllocator::free_impl(Cache& c, void* p, bool from_callback)
                         trace::EventId::kFreeSpan);
     free_span.set_args(c.pool.geometry().object_size);
 
-    PerCpu& pc = *c.cpus[cpu_registry_.cpu_id()];
-    if (pc.ring) {
-        // Lock-free leg: one CAS push on the fast path. On overflow,
-        // pop the conventional half-cache batch back to the slabs and
-        // retry; a bounded number of attempts covers pathological
-        // races (other threads refilling the ring between our drain
-        // and our push), then the object goes straight to its slab.
-        for (int attempt = 0; attempt < 4; ++attempt) {
-            if (pc.ring->push(p))
-                return;
-            void* victims[256];
-            std::size_t n = pc.ring->capacity() / 2 + 1;
-            if (n > 256)
-                n = 256;
-            std::size_t k = 0;
-            while (k < n) {
-                void* o = pc.ring->pop();
-                if (o == nullptr)
-                    break;
-                victims[k++] = o;
-            }
-            if (k > 0) {
-                stats.flushes.add();
-                flush_batch(c, victims, k);
-            }
+    // One CAS push on the fast path. On overflow, pop the
+    // conventional half-cache batch ("normally half of the object
+    // cache is flushed during the overflow") back to the slabs and
+    // retry; a bounded number of attempts covers pathological races
+    // (other threads refilling the ring between our drain and our
+    // push), then the object goes straight to its slab.
+    LockFreeRing& ring = *c.cpus[cpu_registry_.cpu_id()];
+    for (int attempt = 0; attempt < 4; ++attempt) {
+        if (ring.push(p))
+            return;
+        void* victims[256];
+        std::size_t n = ring.capacity() / 2 + 1;
+        if (n > 256)
+            n = 256;
+        std::size_t k = 0;
+        while (k < n) {
+            void* o = ring.pop();
+            if (o == nullptr)
+                break;
+            victims[k++] = o;
         }
-        flush_batch(c, &p, 1);
-        return;
+        if (k > 0) {
+            stats.flushes.add();
+            flush_batch(c, victims, k);
+        }
     }
-
-    stats.pcpu_lock_acquisitions.add();
-    std::lock_guard<SpinLock> guard(pc.lock);
-    if (pc.cache.full()) {
-        // Overflow: spill half the cache (the conventional policy the
-        // paper cites: "normally half of the object cache is flushed
-        // during the overflow").
-        flush(c, pc.cache, pc.cache.capacity() / 2 + 1);
-    }
-    pc.cache.push(p);
-}
-
-void
-SlubAllocator::flush(Cache& c, ObjectCache& cache, std::size_t n)
-{
-    void* victims[256];
-    assert(n <= 256);
-    std::size_t k = cache.take_oldest(n, victims);
-    if (k == 0)
-        return;
-    c.pool.stats().flushes.add();
-    flush_batch(c, victims, k);
+    flush_batch(c, &p, 1);
 }
 
 std::size_t
@@ -481,92 +382,56 @@ SlubAllocator::magazine_alloc_slow(Cache& c, ThreadMagazines& t,
                                    Magazine& m)
 {
     CacheStats& stats = c.pool.stats();
-    PerCpu& pc = *c.cpus[t.cpu];
+    LockFreeRing& ring = *c.cpus[t.cpu];
     std::size_t want = m.objects.capacity() / 2;
     if (want == 0)
         want = 1;
+    // Pull the refill batch out of the ring by CAS pops; stat deltas
+    // flush straight into the (atomic) shared counters without any
+    // per-CPU lock.
+    if (m.stats.any())
+        m.stats.flush_into(stats);
     std::size_t got = 0;
+    while (got < want) {
+        void* obj = ring.pop();
+        if (obj == nullptr)
+            break;
+        m.objects.push(obj);
+        ++got;
+    }
     bool refilled = false;
-    if (pc.ring) {
-        // Lock-free leg: pull the refill batch out of the ring by
-        // CAS pops; stat deltas flush straight into the (atomic)
-        // shared counters without touching the per-CPU lock.
-        if (m.stats.any())
-            m.stats.flush_into(stats);
-        while (got < want) {
-            void* obj = pc.ring->pop();
-            if (obj == nullptr)
-                break;
-            m.objects.push(obj);
-            ++got;
+    if (got == 0) {
+        // Slab-side prefill (DESIGN.md §14 mirror): the refill takes
+        // the node lock anyway, so make that ONE acquisition pull
+        // several batches and park the surplus in the ring — the next
+        // misses on this CPU skip the lock entirely.
+        void* batch[kMaxMagazineCapacity];
+        std::size_t ask = want * kDepotPrefillBlocks;
+        if (ask > kMaxMagazineCapacity)
+            ask = kMaxMagazineCapacity;
+        std::size_t n = refill_batch(c, batch, ask);
+        if (n == 0)
+            return nullptr;  // out of memory
+        got = n < want ? n : want;
+        for (std::size_t i = 0; i < got; ++i)
+            m.objects.push(batch[i]);
+        // Surplus objects become ring stock ("cached" to validate());
+        // ring overflow goes straight back to slabs.
+        void* overflow[kMaxMagazineCapacity];
+        std::size_t spilled = 0;
+        for (std::size_t i = got; i < n; ++i) {
+            if (!ring.push(batch[i]))
+                overflow[spilled++] = batch[i];
         }
-        if (got == 0) {
-            // Slab-side prefill (DESIGN.md §14 mirror): the refill
-            // takes the node lock anyway, so make that ONE
-            // acquisition pull several batches and park the surplus
-            // in the ring — the next misses on this CPU skip the
-            // lock entirely.
-            void* batch[kMaxMagazineCapacity];
-            std::size_t ask = want;
-            if (depot_prefill_blocks_ > 1) {
-                ask = want * depot_prefill_blocks_;
-                if (ask > kMaxMagazineCapacity)
-                    ask = kMaxMagazineCapacity;
-            }
-            std::size_t n = refill_batch(c, batch, ask);
-            if (n == 0)
-                return nullptr;  // out of memory
-            got = n < want ? n : want;
-            for (std::size_t i = 0; i < got; ++i)
-                m.objects.push(batch[i]);
-            // Surplus objects become ring stock ("cached" to
-            // validate()); ring overflow goes straight back to slabs.
-            void* overflow[kMaxMagazineCapacity];
-            std::size_t spilled = 0;
-            for (std::size_t i = got; i < n; ++i) {
-                if (!pc.ring->push(batch[i]))
-                    overflow[spilled++] = batch[i];
-            }
-            if (spilled > 0)
-                flush_batch(c, overflow, spilled);
-            refilled = true;
-        }
-        stats.live_objects.add(static_cast<std::int64_t>(got));
-        if (!refilled)
-            ++m.stats.cache_hits;
-        PRUDENCE_TRACE_EMIT(trace::EventId::kMagRefill, got, t.cpu);
-        void* obj = m.objects.pop();
-        assert(obj != nullptr);
-        return obj;
+        if (spilled > 0)
+            flush_batch(c, overflow, spilled);
+        refilled = true;
     }
-    stats.pcpu_lock_acquisitions.add();
-    {
-        std::lock_guard<SpinLock> guard(pc.lock);
-        if (m.stats.any())
-            m.stats.flush_into(stats);
-        auto take = [&] {
-            while (got < want) {
-                void* obj = pc.cache.pop();
-                if (obj == nullptr)
-                    break;
-                m.objects.push(obj);
-                ++got;
-            }
-        };
-        take();
-        if (got == 0) {
-            if (!refill(c, pc.cache))
-                return nullptr;  // out of memory
-            refilled = true;
-            take();
-        }
-        assert(got > 0);
-        // live_objects counts application-held + magazine-held;
-        // it moves only at batch boundaries.
-        stats.live_objects.add(static_cast<std::int64_t>(got));
-        if (!refilled)
-            ++m.stats.cache_hits;
-    }
+    // live_objects counts application-held + magazine-held; it moves
+    // only at batch boundaries.
+    stats.live_objects.add(static_cast<std::int64_t>(got));
+    if (!refilled)
+        ++m.stats.cache_hits;
     PRUDENCE_TRACE_EMIT(trace::EventId::kMagRefill, got, t.cpu);
     void* obj = m.objects.pop();
     assert(obj != nullptr);
@@ -582,44 +447,21 @@ SlubAllocator::magazine_flush(Cache& c, ThreadMagazines& t,
     if (k == 0)
         return;
     CacheStats& stats = c.pool.stats();
-    PerCpu& pc = *c.cpus[t.cpu];
-    if (pc.ring) {
-        // Lock-free leg: CAS-push the batch; whatever the ring cannot
-        // absorb goes straight back to the slabs (the ring has no
-        // take_oldest, so overflow spills the newcomers, not the
-        // resident objects — same net occupancy).
-        if (m.stats.any())
-            m.stats.flush_into(stats);
-        std::size_t pushed = 0;
-        while (pushed < k && pc.ring->push(victims[pushed]))
-            ++pushed;
-        if (pushed < k) {
-            stats.flushes.add();
-            flush_batch(c, victims + pushed, k - pushed);
-        }
-        stats.live_objects.sub(static_cast<std::int64_t>(k));
-        PRUDENCE_TRACE_EMIT(trace::EventId::kMagFlush, k, t.cpu);
-        return;
+    LockFreeRing& ring = *c.cpus[t.cpu];
+    // CAS-push the batch; whatever the ring cannot absorb goes
+    // straight back to the slabs (the ring has no take_oldest, so
+    // overflow spills the newcomers, not the resident objects — same
+    // net occupancy).
+    if (m.stats.any())
+        m.stats.flush_into(stats);
+    std::size_t pushed = 0;
+    while (pushed < k && ring.push(victims[pushed]))
+        ++pushed;
+    if (pushed < k) {
+        stats.flushes.add();
+        flush_batch(c, victims + pushed, k - pushed);
     }
-    stats.pcpu_lock_acquisitions.add();
-    {
-        std::lock_guard<SpinLock> guard(pc.lock);
-        if (m.stats.any())
-            m.stats.flush_into(stats);
-        std::size_t room = pc.cache.capacity() - pc.cache.count();
-        if (room < k) {
-            // Conventional half-cache spill, but never less than the
-            // batch needs (k <= magazine capacity <= cache capacity,
-            // so it always fits afterwards).
-            std::size_t spill = pc.cache.capacity() / 2 + 1;
-            if (spill < k - room)
-                spill = k - room;
-            flush(c, pc.cache, spill);
-        }
-        for (std::size_t i = 0; i < k; ++i)
-            pc.cache.push(victims[i]);
-        stats.live_objects.sub(static_cast<std::int64_t>(k));
-    }
+    stats.live_objects.sub(static_cast<std::int64_t>(k));
     PRUDENCE_TRACE_EMIT(trace::EventId::kMagFlush, k, t.cpu);
 }
 
@@ -637,15 +479,8 @@ SlubAllocator::drain_table(ThreadMagazines& t)
                "slub deferrals never enter the magazine buffer");
         if (m.objects.count() > 0)
             magazine_flush(c, t, m, m.objects.count());
-        if (m.stats.any()) {
-            PerCpu& pc = *c.cpus[t.cpu];
-            if (pc.ring) {
-                m.stats.flush_into(c.pool.stats());
-            } else {
-                std::lock_guard<SpinLock> guard(pc.lock);
-                m.stats.flush_into(c.pool.stats());
-            }
-        }
+        if (m.stats.any())
+            m.stats.flush_into(c.pool.stats());
     }
 }
 
@@ -756,12 +591,8 @@ SlubAllocator::validate()
         // outstanding is either parked in a per-CPU cache, queued as
         // a callback, or held by the application.
         std::size_t cached = 0;
-        for (auto& pc : c.cpus) {
-            std::lock_guard<SpinLock> guard(pc->lock);
-            cached += pc->cache.count();
-            if (pc->ring)
-                cached += pc->ring->count();
-        }
+        for (auto& ring : c.cpus)
+            cached += ring->count();
         auto live = static_cast<std::size_t>(
             c.pool.stats().live_objects.get());
         auto deferred = static_cast<std::size_t>(

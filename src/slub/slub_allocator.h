@@ -26,20 +26,11 @@
 #include "rcu/callback_engine.h"
 #include "rcu/grace_period.h"
 #include "slab/magazine.h"
-#include "slab/object_cache.h"
 #include "slab/page_owner.h"
 #include "slab/slab_pool.h"
-#include "sync/cacheline.h"
 #include "sync/cpu_registry.h"
-#include "sync/spinlock.h"
 #include "sync/lockfree_ring.h"
 #include "sync/thread_cache_registry.h"
-
-// Build-time default for the lock-free per-CPU layer toggle (CMake
-// option PRUDENCE_LOCKFREE_PCPU); see core/prudence_config.h.
-#if !defined(PRUDENCE_LOCKFREE_PCPU_DEFAULT)
-#define PRUDENCE_LOCKFREE_PCPU_DEFAULT 1
-#endif
 
 namespace prudence {
 
@@ -66,26 +57,6 @@ struct SlubConfig
      * the layer (engine drainer threads never exit).
      */
     std::size_t magazine_capacity = 32;
-
-    /**
-     * Lock-free per-CPU object caches (DESIGN.md §14): each CPU's
-     * cache is a bounded lock-free MPMC ring instead of a
-     * spinlock-guarded ObjectCache, so alloc/free/callback-invoked
-     * frees stop contending the per-CPU lock (drainer threads hammer
-     * it hardest). false = legacy locked path (the A/B baseline leg).
-     * Mirrors PrudenceConfig::lockfree_pcpu.
-     */
-    bool lockfree_pcpu = PRUDENCE_LOCKFREE_PCPU_DEFAULT != 0;
-
-    /**
-     * Slab-side batch prefill multiplier for the lock-free leg's
-     * refill (DESIGN.md §14 mirror of PrudenceConfig::
-     * depot_prefill_blocks): a ring-empty refill pulls up to this
-     * many refill batches under ONE node-lock acquisition, keeps one
-     * in the magazine and parks the surplus in the CPU's ring.
-     * <= 1 = plain single-batch refills.
-     */
-    std::size_t depot_prefill_blocks = 4;
 
     /// Per-CPU page-cache high watermark (0 = off), mirroring
     /// PrudenceConfig::pcp_high_watermark so both allocators front
@@ -142,43 +113,23 @@ class SlubAllocator final : public Allocator
     CallbackEngineStats callback_stats() const;
 
   private:
-    /// Per-CPU state: the object cache behind its own tiny lock.
-    struct alignas(kCacheLineSize) PerCpu
-    {
-        SpinLock lock;
-        ObjectCache cache;
-        /**
-         * Lock-free replacement for `cache` (DESIGN.md §14), non-null
-         * when SlubConfig::lockfree_pcpu: alloc, free and — above all
-         * — callback-invoked frees (engine drainer threads hammering
-         * a victim CPU) exchange objects by ring CAS, leaving `lock`
-         * to the legacy A/B leg and validate().
-         */
-        std::unique_ptr<LockFreeRing> ring;
-
-        PerCpu(std::size_t capacity, bool lockfree) : cache(capacity)
-        {
-            if (lockfree)
-                ring = std::make_unique<LockFreeRing>(capacity);
-        }
-    };
-
-    static_assert(alignof(PerCpu) == kCacheLineSize,
-                  "PerCpu must be cache-line aligned");
-    static_assert(sizeof(PerCpu) % kCacheLineSize == 0,
-                  "adjacent PerCpu instances must not share a line");
-
     /// One slab cache: node-level pool + per-CPU layer.
     struct Cache
     {
         SlabPool pool;
-        std::vector<std::unique_ptr<PerCpu>> cpus;
+        /**
+         * Per-CPU object caches (DESIGN.md §14): bounded lock-free
+         * MPMC rings, so alloc, free and — above all —
+         * callback-invoked frees (engine drainer threads hammering a
+         * victim CPU) exchange objects by CAS with no per-CPU lock.
+         */
+        std::vector<std::unique_ptr<LockFreeRing>> cpus;
         /// Position in caches_ (indexes the per-thread magazines).
         std::size_t index = 0;
 
         Cache(std::string name, std::size_t object_size,
               BuddyAllocator& buddy, PageOwnerTable& owners,
-              unsigned ncpus, bool lockfree);
+              unsigned ncpus);
     };
 
     Cache& cache_ref(CacheId id) const;
@@ -197,15 +148,9 @@ class SlubAllocator final : public Allocator
                         std::size_t n);
     void drain_table(ThreadMagazines& t);
     void drain_calling_thread() const;
-    /// Refill the object cache from node slabs (grows if needed).
-    /// Returns true when at least one object was added.
-    bool refill(Cache& c, ObjectCache& cache);
     /// Pop up to @p want objects from node slabs (grows if needed)
-    /// into @p out — the refill primitive of the lock-free leg, which
-    /// has no ObjectCache to fill. @return objects delivered.
+    /// into @p out. @return objects delivered.
     std::size_t refill_batch(Cache& c, void** out, std::size_t want);
-    /// Spill @p n cold objects from the cache back into their slabs.
-    void flush(Cache& c, ObjectCache& cache, std::size_t n);
     /// Return @p k specific objects to their slabs (node lock inside).
     void flush_batch(Cache& c, void* const* objs, std::size_t k);
     /// Release free slabs beyond the retention limit.
@@ -219,10 +164,6 @@ class SlubAllocator final : public Allocator
     CpuRegistry cpu_registry_;
     /// Magazine knob (from SlubConfig; 0 = layer disabled).
     std::size_t magazine_capacity_;
-    /// Lock-free per-CPU toggle (from SlubConfig; DESIGN.md §14).
-    bool lockfree_pcpu_;
-    /// Ring-leg refill prefill multiplier (from SlubConfig).
-    std::size_t depot_prefill_blocks_;
     /// Governor admission-restriction drain width (from SlubConfig).
     std::size_t pressure_drain_batch_;
     /// Per-thread magazine tables (drain-on-thread-exit). Shut down

@@ -61,8 +61,8 @@ struct CacheStats
     /// cached anywhere, a genuinely cold refill (prefill's target).
     Counter depot_miss_cold;
     /// Depot refill misses where deferred blocks exist but every
-    /// scanned one is still inside its grace period (harvest-ahead's
-    /// target): the prudence window outran the full stack.
+    /// scanned one is still inside its grace period: the prudence
+    /// window outran the full stack.
     Counter depot_miss_gp_pending;
     /// Cold refills served by slab-side block prefill: one node-lock
     /// acquisition filled a batch of depot blocks from freelists.
@@ -70,9 +70,6 @@ struct CacheStats
     /// Depot refills served from the per-CPU claim ring (no shared
     /// Treiber stack touched).
     Counter depot_claim_hits;
-    /// Deferred blocks promoted to full by the harvest-ahead trigger
-    /// (hot-path low-watermark check or governor harvest_depot).
-    Counter depot_harvests_ahead;
     /// Slabs currently allocated / high-water mark (Fig. 10).
     PeakGauge slabs;
     /// Objects currently handed out to users / high-water mark.
@@ -112,7 +109,6 @@ struct CacheStatsSnapshot
     std::uint64_t depot_miss_gp_pending = 0;
     std::uint64_t depot_prefills = 0;
     std::uint64_t depot_claim_hits = 0;
-    std::uint64_t depot_harvests_ahead = 0;
     std::int64_t current_slabs = 0;
     std::int64_t peak_slabs = 0;
     std::int64_t live_objects = 0;

@@ -32,7 +32,6 @@ run_one(const WorkloadSpec& spec, const SuiteConfig& config, bool slub,
         sc.magazine_capacity = config.magazine_capacity;
         sc.pcp_high_watermark = config.pcp_high_watermark;
         sc.pcp_batch = config.pcp_batch;
-        sc.lockfree_pcpu = config.lockfree_pcpu;
         // Kernel-like regime: callbacks become ready in grace-period
         // batches and are drained at once (paper §3.1 bursty
         // freeing), with a throttled background drainer as backstop.
@@ -49,7 +48,6 @@ run_one(const WorkloadSpec& spec, const SuiteConfig& config, bool slub,
         pc.magazine_capacity = config.magazine_capacity;
         pc.pcp_high_watermark = config.pcp_high_watermark;
         pc.pcp_batch = config.pcp_batch;
-        pc.lockfree_pcpu = config.lockfree_pcpu;
         alloc = make_prudence_allocator(rcu, pc);
     }
     return run_workload(*alloc, spec, seed);

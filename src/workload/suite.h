@@ -34,9 +34,6 @@ struct SuiteConfig
     std::size_t pcp_high_watermark = 32;
     /// Blocks per page-cache refill/drain batch.
     std::size_t pcp_batch = 8;
-    /// Lock-free per-CPU caches + magazine depot (DESIGN.md §14),
-    /// applied uniformly to both allocators like magazine_capacity.
-    bool lockfree_pcpu = PrudenceConfig{}.lockfree_pcpu;
     /// Workload RNG seed.
     std::uint64_t seed = 1;
     /// Repetitions per (workload, allocator); metrics use run 0, the

@@ -307,10 +307,10 @@ TEST(OomEscalation, ExpediteHarvestsAlreadySafeDeferrals)
     cfg.arena_bytes = kTinyArena;
     cfg.maintenance_interval = std::chrono::microseconds{0};
     cfg.merge_on_alloc = false;  // keep the fast path from harvesting
-    // Locked leg: with the depot on, the magazine refill harvests the
+    // Per-op path: with magazines on, the depot refill harvests the
     // safe deferred block before the OOM ladder is ever entered —
     // this test specifically exercises the expedite rung.
-    cfg.lockfree_pcpu = false;
+    cfg.magazine_capacity = 0;
     PrudenceAllocator alloc(domain, cfg);
 
     auto held = exhaust(alloc, 256);

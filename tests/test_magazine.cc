@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "core/prudence_allocator.h"
+#include "fault/fault_injector.h"
 #include "rcu/manual_domain.h"
 #include "rcu/rcu_domain.h"
 #include "slab/geometry.h"
@@ -31,10 +32,8 @@ namespace prudence {
 namespace {
 
 /// Deterministic setup: manual epochs, one virtual CPU, no background
-/// maintenance, magazines of the given depth. Slab-side block prefill
-/// is disabled so cold refills take the legacy locked path whose
-/// batch policy these tests pin; the whole-block prefill path is
-/// covered in test_lockfree.cc.
+/// maintenance, magazines of the given depth. A cold refill takes one
+/// whole prefilled depot block (DESIGN.md §14): the clamped capacity.
 PrudenceConfig
 mag_config(std::size_t capacity)
 {
@@ -43,7 +42,6 @@ mag_config(std::size_t capacity)
     cfg.cpus = 1;
     cfg.maintenance_interval = std::chrono::microseconds{0};
     cfg.magazine_capacity = capacity;
-    cfg.depot_prefill_blocks = 0;
     return cfg;
 }
 
@@ -55,8 +53,9 @@ TEST(Magazine, CapacityClampedToObjectCacheCapacity)
 {
     // 4096-byte objects have a per-CPU cache capacity well below the
     // requested 128, and the magazine must never be deeper than the
-    // cache behind it. Observable through the refill batch: the first
-    // allocation pulls capacity/2 objects and returns one.
+    // cache behind it. Observable through the refill unit: the first
+    // allocation takes one whole block of the clamped capacity and
+    // returns one object.
     ManualRcuDomain domain;
     PrudenceAllocator alloc(domain, mag_config(128));
     CacheId id = alloc.create_cache("clamp", 4096);
@@ -66,7 +65,7 @@ TEST(Magazine, CapacityClampedToObjectCacheCapacity)
 
     void* p = alloc.cache_alloc(id);
     ASSERT_NE(p, nullptr);
-    EXPECT_EQ(alloc.magazine_object_count(id), cache_cap / 2 - 1);
+    EXPECT_EQ(alloc.magazine_object_count(id), cache_cap - 1);
     alloc.cache_free(id, p);
 }
 
@@ -84,7 +83,7 @@ TEST(Magazine, CapacityNeverExceedsHardCeiling)
 
     void* p = alloc.cache_alloc(id);
     ASSERT_NE(p, nullptr);
-    EXPECT_EQ(alloc.magazine_object_count(id), expect_cap / 2 - 1);
+    EXPECT_EQ(alloc.magazine_object_count(id), expect_cap - 1);
     alloc.cache_free(id, p);
 }
 
@@ -92,34 +91,85 @@ TEST(Magazine, CapacityNeverExceedsHardCeiling)
 // Refill / flush batch sizes
 // ---------------------------------------------------------------------
 
-TEST(Magazine, RefillPullsHalfCapacityBatch)
+TEST(Magazine, ColdRefillTakesOneWholeBlock)
 {
     ManualRcuDomain domain;
     PrudenceAllocator alloc(domain, mag_config(8));
     CacheId id = alloc.create_cache("refill", 128);
 
-    // Empty magazine: the first alloc refills capacity/2 = 4 objects
-    // under one lock acquisition and hands one out.
+    // Empty magazine, cold depot: the first alloc prefills depot
+    // blocks under one node-lock acquisition, takes one whole block
+    // of capacity 8 and hands one object out.
     std::vector<void*> got;
     got.push_back(alloc.cache_alloc(id));
     ASSERT_NE(got.back(), nullptr);
-    EXPECT_EQ(alloc.magazine_object_count(id), 3u);
+    EXPECT_EQ(alloc.magazine_object_count(id), 7u);
 
-    // The next three come straight off the magazine...
-    for (int i = 0; i < 3; ++i) {
+    // The next seven come straight off the magazine...
+    for (int i = 0; i < 7; ++i) {
         got.push_back(alloc.cache_alloc(id));
         ASSERT_NE(got.back(), nullptr);
     }
     EXPECT_EQ(alloc.magazine_object_count(id), 0u);
 
-    // ...and the fifth triggers the next half-capacity refill.
+    // ...and the ninth takes the next prefilled block from the depot
+    // without touching slabs again.
     got.push_back(alloc.cache_alloc(id));
     ASSERT_NE(got.back(), nullptr);
-    EXPECT_EQ(alloc.magazine_object_count(id), 3u);
+    EXPECT_EQ(alloc.magazine_object_count(id), 7u);
+    EXPECT_EQ(alloc.cache_snapshot(id).depot_prefills, 1u);
 
     for (void* p : got)
         alloc.cache_free(id, p);
 }
+
+#if defined(PRUDENCE_FAULT_ENABLED)
+TEST(Magazine, RefillPullsHalfCapacityBatch)
+{
+    // The depot's locked fallback: when the cold-miss prefill is
+    // refused, the refill splices capacity/2 objects under the
+    // per-CPU lock. A one-shot kRefillFail refuses the prefill only;
+    // the locked refill's own evaluation of the site then passes.
+    using fault::FaultInjector;
+    using fault::SiteId;
+    FaultInjector& fi = FaultInjector::instance();
+    struct Disarm
+    {
+        ~Disarm() { FaultInjector::instance().reset(0); }
+    } disarm;
+    fi.reset(11);
+    fault::SitePolicy once;
+    once.one_shot = true;
+    fi.arm(SiteId::kRefillFail, once);
+
+    ManualRcuDomain domain;
+    PrudenceAllocator alloc(domain, mag_config(8));
+    CacheId id = alloc.create_cache("refill", 128);
+
+    std::vector<void*> got;
+    got.push_back(alloc.cache_alloc(id));
+    ASSERT_NE(got.back(), nullptr);
+    EXPECT_EQ(alloc.magazine_object_count(id), 3u);
+    auto r = fi.report(SiteId::kRefillFail);
+    EXPECT_EQ(r.evaluations, 2u) << "prefill + locked refill";
+    EXPECT_EQ(r.triggers, 1u);
+
+    // The next three come straight off the magazine; the fifth finds
+    // the prefill path open again and takes a whole block.
+    for (int i = 0; i < 3; ++i) {
+        got.push_back(alloc.cache_alloc(id));
+        ASSERT_NE(got.back(), nullptr);
+    }
+    EXPECT_EQ(alloc.magazine_object_count(id), 0u);
+    got.push_back(alloc.cache_alloc(id));
+    ASSERT_NE(got.back(), nullptr);
+    EXPECT_EQ(alloc.magazine_object_count(id), 7u);
+
+    for (void* p : got)
+        alloc.cache_free(id, p);
+    EXPECT_EQ(alloc.validate(), "");
+}
+#endif  // PRUDENCE_FAULT_ENABLED
 
 TEST(Magazine, OverflowFlushesHalfCapacityPlusOne)
 {

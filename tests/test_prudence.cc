@@ -118,10 +118,9 @@ TEST(Prudence, DeferredObjectReusableAfterGracePeriod)
     EXPECT_TRUE(reused) << "latent merge never returned the object";
     const CacheStatsSnapshot snap = alloc.cache_snapshot(id);
     EXPECT_EQ(snap.deferred_outstanding, 0);
-    // The object returns either through the refill-time deferred-block
-    // scan (a merge hit) or through a harvest-ahead promotion that
-    // turned its depot block into reusable full stock first.
-    EXPECT_GT(snap.latent_merge_hits + snap.depot_harvests_ahead, 0u);
+    // The object returns through the refill-time deferred-block scan
+    // (a merge hit).
+    EXPECT_GT(snap.latent_merge_hits, 0u);
     for (void* q : got)
         alloc.cache_free(id, q);
 }
@@ -129,11 +128,12 @@ TEST(Prudence, DeferredObjectReusableAfterGracePeriod)
 TEST(Prudence, LatentOverflowSpillsToLatentSlab)
 {
     ManualRcuDomain domain;
-    // Locked leg: this test exercises the latent-ring overflow ->
-    // latent-slab -> premove chain, which the depot fast path (spills
-    // become whole deferred depot blocks) deliberately bypasses.
+    // Per-op path: this test exercises the latent-ring overflow ->
+    // latent-slab -> premove chain, which the depot (spills become
+    // whole deferred depot blocks) bypasses until its deferred
+    // half-cap (Depot.DeferralOverflowPastHalfCapLandsOnLatentPath).
     PrudenceConfig cfg = manual_config();
-    cfg.lockfree_pcpu = false;
+    cfg.magazine_capacity = 0;
     PrudenceAllocator alloc(domain, cfg);
     CacheId id = alloc.create_cache("overflow", 128);
     std::size_t cap = compute_slab_geometry(128).cache_capacity;
@@ -179,11 +179,11 @@ TEST(Prudence, PreMovedSlabsReclaimedAfterGracePeriod)
 TEST(Prudence, PreflushRequestedAndExecuted)
 {
     ManualRcuDomain domain;
-    // Locked leg: pre-flush triggers on per-CPU object/latent cache
+    // Per-op path: pre-flush triggers on per-CPU object/latent cache
     // occupancy, which stays empty while the depot absorbs magazine
     // flushes and deferral spills.
     PrudenceConfig cfg = manual_config();
-    cfg.lockfree_pcpu = false;
+    cfg.magazine_capacity = 0;
     PrudenceAllocator alloc(domain, cfg);
     CacheId id = alloc.create_cache("preflush", 128);
     std::size_t cap = compute_slab_geometry(128).cache_capacity;
@@ -300,12 +300,12 @@ TEST(Prudence, OomDeferralDisabledFailsFast)
 TEST(Prudence, FlushAccountsForLatentOccupancy)
 {
     // With a loaded latent cache, an overflow flush must evict more
-    // objects than the bare half-capacity baseline. Locked leg: sized
+    // objects than the bare half-capacity baseline. Per-op path: sized
     // flush is a property of the per-CPU spill path the depot
     // replaces with whole-block exchanges.
     ManualRcuDomain domain;
     PrudenceConfig cfg = manual_config();
-    cfg.lockfree_pcpu = false;
+    cfg.magazine_capacity = 0;
     PrudenceAllocator alloc(domain, cfg);
     CacheId id = alloc.create_cache("sized_flush", 128);
     std::size_t cap = compute_slab_geometry(128).cache_capacity;

@@ -19,7 +19,7 @@
  *       arms the stale-spill-tag bug, demands a find within the seed
  *       budget, replays the reported seed, shrinks it, demands a
  *       clean sweep with the bug disarmed, then repeats the find for
- *       the unprotected-depot-pop bug on the lock-free leg.
+ *       the unprotected-depot-pop bug with magazines forced on.
  */
 #include <cstdint>
 #include <cstdio>
@@ -67,14 +67,6 @@ struct Options
     std::uint64_t ops = 300;        // deferrals per updater
     std::size_t magazine_capacity = 16;
     std::size_t pcp_high_watermark = 16;
-    /// Lock-free per-CPU caches + depot (DESIGN.md §14): -1 = build
-    /// default, 0 = legacy spinlock leg, 1 = lock-free leg.
-    int lockfree_pcpu = -1;
-    /// Residual depot-miss mechanisms (DESIGN.md §14): each is
-    /// -1 = build default, otherwise the config value.
-    int harvest_ahead = -1;
-    int depot_prefill = -1;
-    int claim_ring = -1;
     std::uint64_t base_delay_ns = 50'000;
     bool self_test = false;
     bool shrink = true;
@@ -160,14 +152,6 @@ parse_options(int argc, char** argv)
             o.magazine_capacity = std::strtoull(v, nullptr, 10);
         else if (const char* v = flag_value(a, "--pcp-high-watermark"))
             o.pcp_high_watermark = std::strtoull(v, nullptr, 10);
-        else if (const char* v = flag_value(a, "--lockfree-pcpu"))
-            o.lockfree_pcpu = std::atoi(v);
-        else if (const char* v = flag_value(a, "--harvest-ahead"))
-            o.harvest_ahead = std::atoi(v);
-        else if (const char* v = flag_value(a, "--depot-prefill"))
-            o.depot_prefill = std::atoi(v);
-        else if (const char* v = flag_value(a, "--claim-ring"))
-            o.claim_ring = std::atoi(v);
         else if (const char* v = flag_value(a, "--base-delay-ns"))
             o.base_delay_ns = std::strtoull(v, nullptr, 10);
         else if (const char* v = flag_value(a, "--report"))
@@ -183,10 +167,6 @@ parse_options(int argc, char** argv)
                 "                 [--updaters=N] [--readers=N] [--ops=N]\n"
                 "                 [--magazine-capacity=N]\n"
                 "                 [--pcp-high-watermark=N]\n"
-                "                 [--lockfree-pcpu=0|1]\n"
-                "                 [--harvest-ahead=0|1] "
-                "[--depot-prefill=N]\n"
-                "                 [--claim-ring=N]\n"
                 "                 [--base-delay-ns=N] [--report=FILE]\n"
                 "                 [--self-test] [--no-shrink]\n");
             std::exit(0);
@@ -229,15 +209,6 @@ run_one(std::uint64_t seed, std::uint32_t sites, const Options& o)
     pcfg.cpus = 2;
     pcfg.magazine_capacity = o.magazine_capacity;
     pcfg.pcp_high_watermark = o.pcp_high_watermark;
-    if (o.lockfree_pcpu >= 0)
-        pcfg.lockfree_pcpu = o.lockfree_pcpu != 0;
-    if (o.harvest_ahead >= 0)
-        pcfg.harvest_ahead = o.harvest_ahead != 0;
-    if (o.depot_prefill >= 0)
-        pcfg.depot_prefill_blocks =
-            static_cast<std::size_t>(o.depot_prefill);
-    if (o.claim_ring >= 0)
-        pcfg.depot_claim_blocks = static_cast<std::size_t>(o.claim_ring);
     pcfg.maintenance_interval = std::chrono::microseconds(100);
     PrudenceAllocator alloc(domain, pcfg);
 
@@ -344,14 +315,6 @@ print_failure(std::uint64_t seed, std::uint32_t sites,
         std::printf(" --magazine-capacity=%zu", o.magazine_capacity);
     if (o.pcp_high_watermark != 16)
         std::printf(" --pcp-high-watermark=%zu", o.pcp_high_watermark);
-    if (o.lockfree_pcpu >= 0)
-        std::printf(" --lockfree-pcpu=%d", o.lockfree_pcpu != 0 ? 1 : 0);
-    if (o.harvest_ahead >= 0)
-        std::printf(" --harvest-ahead=%d", o.harvest_ahead != 0 ? 1 : 0);
-    if (o.depot_prefill >= 0)
-        std::printf(" --depot-prefill=%d", o.depot_prefill);
-    if (o.claim_ring >= 0)
-        std::printf(" --claim-ring=%d", o.claim_ring);
     std::printf("\n");
 }
 
@@ -497,15 +460,16 @@ self_test(Options o)
     }
 
     // Second deliberate bug: a depot pop that skips the grace-period
-    // check (DESIGN.md §14). Only the lock-free leg has a depot, so
-    // force it on regardless of the command line.
+    // check (DESIGN.md §14). The depot rides the magazine layer, so
+    // force magazines on regardless of the command line.
     std::printf("[5/6] sweeping up to %llu seeds with --bug=%s "
-                "(lock-free leg forced on)\n",
+                "(magazines forced on)\n",
                 static_cast<unsigned long long>(o.seeds),
                 sim::bug_name(sim::BugId::kUnprotectedDepotPop));
     Options depot = o;
     depot.bug = sim::BugId::kUnprotectedDepotPop;
-    depot.lockfree_pcpu = 1;
+    if (depot.magazine_capacity == 0)
+        depot.magazine_capacity = 16;
     std::uint64_t depot_seed = 0;
     RunResult depot_r;
     if (!sweep(depot, &depot_seed, &depot_r)) {
