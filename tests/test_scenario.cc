@@ -245,6 +245,16 @@ struct ClampCase
     double expect_to;    ///< value after clamping
 };
 
+// Print a case as its assignment with blanks dropped ("rate_rps=0.5").
+// CTest names each case after this printout; gtest's default dumps the
+// struct's bytes, which hold string addresses that change every run.
+void PrintTo(const ClampCase& c, std::ostream* os)
+{
+    for (const char* p = c.line; *p != '\0'; ++p)
+        if (*p != ' ' && *p != '\n')
+            *os << *p;
+}
+
 class ScenarioClamp : public ::testing::TestWithParam<ClampCase>
 {};
 
